@@ -1,9 +1,9 @@
-"""Interpreter throughput: all three TAM backends against each other.
+"""Interpreter throughput: the codegen TAM backend against the reference.
 
 The other benchmarks time what the paper measures (pricing, figures);
 this one times the measurement *instrument* itself — the TAM interpreter
 that executes every evaluation program.  It runs the three programs on
-the reference, fastpath, and codegen backends, reports wall-clock and
+the reference and codegen backends, reports wall-clock and
 turns/sec (a turn is one thread run or one message processed), and
 writes ``BENCH_runtime.json`` at the repository root so regressions are
 visible in review diffs.
@@ -59,10 +59,6 @@ PAPER_MATMUL_N = 100
 PAPER_GAMTEB_PHOTONS = 16
 PAPER_QUEENS_N = 6
 
-#: The backends measured, slowest first.
-BACKENDS = ("reference", "fastpath", "codegen")
-
-
 def workloads(smoke: bool = False, paper: bool = False) -> dict:
     if paper:
         matmul_n, photons, queens_n = (
@@ -112,7 +108,7 @@ def _time_run(runner, backend: str, repeats: int):
 
 
 def measure(repeats: int = 3, smoke: bool = False, paper: bool = False) -> dict:
-    """Measure every workload on all three backends; returns the report."""
+    """Measure every workload on both backends; returns the report."""
     report = {
         "schema_version": perfdb.SCHEMA_VERSION,
         "nodes": NODES,
@@ -123,29 +119,25 @@ def measure(repeats: int = 3, smoke: bool = False, paper: bool = False) -> dict:
     }
     for name, runner in workloads(smoke=smoke, paper=paper).items():
         codegen_s, codegen_turns = _time_run(runner, "codegen", repeats)
-        fast_s, fast_turns = _time_run(runner, "fastpath", repeats)
         # The reference path dominates wall clock; one repeat suffices
-        # for the denominator once the numerators are best-of.
+        # for the denominator once the numerator is best-of.
         ref_s, ref_turns = _time_run(runner, "reference", max(1, repeats - 2))
-        assert fast_turns == ref_turns == codegen_turns, (
+        assert ref_turns == codegen_turns, (
             f"{name}: backends diverged — reference {ref_turns} turns, "
-            f"fastpath {fast_turns}, codegen {codegen_turns}"
+            f"codegen {codegen_turns}"
         )
         report["workloads"][name] = {
-            "turns": fast_turns,
+            "turns": codegen_turns,
             "codegen_seconds": round(codegen_s, 4),
-            "fast_seconds": round(fast_s, 4),
             "reference_seconds": round(ref_s, 4),
             "codegen_turns_per_sec": round(codegen_turns / codegen_s),
-            "fast_turns_per_sec": round(fast_turns / fast_s),
             "reference_turns_per_sec": round(ref_turns / ref_s),
-            "speedup": round(ref_s / fast_s, 2),
             "codegen_speedup": round(ref_s / codegen_s, 2),
         }
     # One profiled matmul run on the codegen backend: per-node turn
     # attribution plus the instruction/message mix, carried into the
     # perfdb record's meta so the report prints where the interpreter's
-    # cycles went.  Profiling the *fastest* backend doubles as the check
+    # cycles went.  Profiling the default backend doubles as the check
     # that observation still attributes on the generated path.
     profiler = SimProfiler()
     sizes = {"paper": PAPER_MATMUL_N, "smoke": SMOKE_MATMUL_N}
@@ -171,7 +163,6 @@ def perf_record(report: dict, bench: str) -> dict:
     metrics = {}
     for name, row in report["workloads"].items():
         metrics[f"{name}_codegen_seconds"] = row["codegen_seconds"]
-        metrics[f"{name}_fast_seconds"] = row["fast_seconds"]
         metrics[f"{name}_reference_seconds"] = row["reference_seconds"]
         metrics[f"{name}_turns"] = row["turns"]
     sections = report.get("sections_wall_clock")
@@ -283,14 +274,14 @@ def main(argv=None) -> int:
     db_path = perfdb.append_record(args.perfdb, perf_record(report, bench))
     print(f"appended perfdb record to {db_path}")
     header = (
-        f"{'program':<10} {'turns':>8} {'codegen':>9} {'fast':>9} "
+        f"{'program':<10} {'turns':>8} {'codegen':>9} "
         f"{'reference':>10} {'cg-speedup':>10} {'cg turns/s':>11}"
     )
     print(header)
     for name, row in report["workloads"].items():
         print(
             f"{name:<10} {row['turns']:>8,} {row['codegen_seconds']:>8.3f}s "
-            f"{row['fast_seconds']:>8.3f}s {row['reference_seconds']:>9.3f}s "
+            f"{row['reference_seconds']:>9.3f}s "
             f"{row['codegen_speedup']:>9.2f}x "
             f"{row['codegen_turns_per_sec']:>11,}"
         )
@@ -308,33 +299,23 @@ def main(argv=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pytest-benchmark entry points (fastpath and codegen; the reference
-# path is covered by the standalone runner above).
+# pytest-benchmark entry points (the default codegen backend; the
+# reference path is covered by the standalone runner above).
 # ---------------------------------------------------------------------------
 
 
-def test_matmul_fast_path(benchmark):
+def test_matmul_codegen(benchmark):
     result = benchmark(run_matmul, MATMUL_N, NODES)
     assert result.machine.turns_executed > 0
 
 
-def test_gamteb_fast_path(benchmark):
+def test_gamteb_codegen(benchmark):
     result = benchmark(run_gamteb, GAMTEB_PHOTONS, NODES)
     assert result.machine.turns_executed > 0
 
 
-def test_queens_fast_path(benchmark):
-    result = benchmark(run_queens, QUEENS_N, NODES)
-    assert result.machine.turns_executed > 0
-
-
-def test_matmul_codegen(benchmark):
-    result = benchmark(lambda: run_matmul(MATMUL_N, NODES, backend="codegen"))
-    assert result.machine.turns_executed > 0
-
-
 def test_queens_codegen(benchmark):
-    result = benchmark(lambda: run_queens(QUEENS_N, NODES, backend="codegen"))
+    result = benchmark(run_queens, QUEENS_N, NODES)
     assert result.machine.turns_executed > 0
 
 

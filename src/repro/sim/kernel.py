@@ -13,7 +13,7 @@ makes runs reproducible bit for bit:
 * **Wake/sleep** — a component may remove itself from the per-cycle
   scan (``sleep``), re-enter it (``wake``), or schedule a timed re-entry
   (``wake_at``).  The awake scan uses the flag-array trick from the TAM
-  fast path: a plain bool list with a ``True`` sentinel at the end, so
+  scheduler (:class:`~repro.sim.sweep.ActiveSweep`): a plain bool list with a ``True`` sentinel at the end, so
   skipping sleepers is a C-level ``list.index`` scan, not a Python loop.
   Timed wakes live in a min-heap of ``(cycle, index)`` events (lazily
   invalidated against the authoritative index->cycle dict), so promoting
@@ -121,7 +121,7 @@ class SimKernel:
         self._components: List[object] = []
         self._handles: List[SimHandle] = []
         # Awake flags, one per component, plus the sentinel True that
-        # terminates the list.index scan (see tam/fastpath's scheduler,
+        # terminates the list.index scan (see sim.sweep.ActiveSweep,
         # which this generalizes).
         self._awake: List[bool] = [True]
         # Timed wakes live twice: ``_timed`` maps index -> wake cycle and

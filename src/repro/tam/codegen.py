@@ -1,15 +1,16 @@
-"""Whole-thread code generation: the TAM's third execution backend.
+"""Whole-thread code generation: the TAM's default execution backend.
 
-The fast path (:mod:`repro.tam.fastpath`) made every *dispatch* decision
-at ``load()`` time but still pays one Python call per instruction — a
-thread is a tuple of bound closures walked by a loop.  This module goes
-the rest of the way, the software analogue of the paper's observation
-that a handler whose ``MsgIp`` is precomputed can run as one straight
-jump: each whole thread becomes a *single generated Python function*.
-At ``load()`` time the instruction sequence is emitted as source text
-with operand shapes, slot indices, and synchronisation counters resolved
-to constants, ``exec``'d once per codeblock, and dispatched as one call
-per thread run.
+The reference interpreter in :mod:`repro.tam.runtime` decides what every
+instruction is — an ``isinstance`` chain, operand classification, a
+frame-slot bounds check, an enum-keyed stats update — every time it
+executes it.  All of those decisions are static properties of the
+codeblock, so this module makes them once, the software analogue of the
+paper's observation that a handler whose ``MsgIp`` is precomputed can
+run as one straight jump: each whole thread becomes a *single generated
+Python function*.  At ``load()`` time the instruction sequence is
+emitted as source text with operand shapes, slot indices, and
+synchronisation counters resolved to constants, ``exec``'d once per
+codeblock, and dispatched as one call per thread run.
 
 Three structural choices make the generated code fast:
 
@@ -41,11 +42,11 @@ references, counter underflow, missing threads, threads without STOP)
 and reproduces the reference service order exactly.  Unobserved
 machines run the fused loop in :meth:`TamMachine._run_codegen_fused`
 (the :class:`repro.sim.sweep.ActiveSweep` flag-array order, inlined);
-machines under a tracer or profiler post through ``machine._post``
-captured at compile time and are driven generically on
-:class:`repro.sim.sweep.EventSweep` — the heap scheduler pinned
-turn-for-turn to the same order — so a codegen run is bit-identical to
-a reference run either way (``tests/tam/test_backend_matrix``).
+machines under a tracer, lineage tracker or profiler post through
+``machine._post`` captured at compile time and are driven by
+:meth:`ActiveSweep.run <repro.sim.sweep.ActiveSweep.run>` itself, so a
+codegen run is bit-identical to a reference run either way
+(``tests/tam/test_backend_matrix``).
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ from repro.tam.messages import IStructRef, MsgKind, TamMessage
 # slot 0..frame_size-1, counter 0..n_counters-1].
 SLOT_BASE = 4
 
-# ALU source templates, shared shape with fastpath._OP_TEMPLATES /
-# OP_FUNCS so all three backends compute bit-identical values.  {a}/{b}
-# are side-effect-free expressions, safe to evaluate twice (MIN/MAX).
+# ALU source templates, the source-text twins of runtime.OP_FUNCS so both
+# backends compute bit-identical values.  {a}/{b} are side-effect-free
+# expressions, safe to evaluate twice (MIN/MAX).
 # The second element names the coercion each operand gets; immediates
 # are coerced at emission time instead (``int(16)`` folds to ``16``),
 # which removes one call per immediate operand from the hot thread
@@ -924,10 +925,10 @@ def _compiled_code(source: str, filename: str):
 def compile_codegen(codeblock: Codeblock, machine) -> CodegenBlock:
     """Compile a validated codeblock into generated functions.
 
-    Compilation is per *machine* (like the fast path): the generated
-    source closes over the machine's post/round-robin hooks and its
-    thread-run-count list, and registers each thread's static instruction
-    and send-word mixes with the machine for end-of-run stats folding.
+    Compilation is per *machine*: the generated source closes over the
+    machine's post/round-robin hooks and its thread-run-count list, and
+    registers each thread's static instruction and send-word mixes with
+    the machine for end-of-run stats folding.
     """
     emitter = _Emitter(codeblock, machine)
     block = CodegenBlock(codeblock)

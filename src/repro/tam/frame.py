@@ -27,10 +27,7 @@ class Frame:
     # Frames are allocated once per activation and machines allocate many
     # thousands of them; __slots__ keeps them compact and makes attribute
     # access in the interpreter hot loop cheaper.
-    __slots__ = (
-        "codeblock", "ref", "slots", "_counters", "finished", "compiled",
-        "inlets",
-    )
+    __slots__ = ("codeblock", "ref", "slots", "_counters", "finished")
 
     def __init__(self, codeblock: Codeblock, ref: FrameRef) -> None:
         self.codeblock = codeblock
@@ -40,12 +37,6 @@ class Frame:
             label: spec.count for label, spec in codeblock.counters.items()
         }
         self.finished = False
-        # Set by the machine when the codeblock has been compiled for the
-        # fast path (repro.tam.fastpath); None on the reference path.
-        # ``inlets`` mirrors ``compiled.inlets`` so message delivery skips
-        # an attribute hop per message.
-        self.compiled = None
-        self.inlets = None
 
     def read(self, slot: int) -> float:
         self._check(slot)

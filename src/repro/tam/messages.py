@@ -1,7 +1,7 @@
 """TAM inter-frame message types.
 
 Split out of :mod:`repro.tam.runtime` so both the reference interpreter
-and the compiled fast path (:mod:`repro.tam.fastpath`) can construct
+and the generated code of :mod:`repro.tam.codegen` can construct
 messages without an import cycle.  A message is what the paper's network
 would carry between nodes: argument Sends, frame/I-structure allocation
 requests, presence-bit reads and writes, and plain remote memory

@@ -15,23 +15,22 @@ outcome ratios under "LIFO scheduling of dataflow tokens"); nodes are
 serviced round-robin, one message or one thread per turn, so runs are
 reproducible bit for bit.
 
-Three execution backends implement those semantics:
+Two execution backends implement those semantics:
 
-* the **fastpath** backend (default): threads and inlets are compiled to
-  bound handler closures at ``load()`` time (:mod:`repro.tam.fastpath`)
-  and nodes are driven by :class:`repro.sim.sweep.ActiveSweep` — the
-  flag-array scheduler that skips idle nodes for free;
-* the **codegen** backend (``TamMachine(n, backend="codegen")``): each
-  whole thread is compiled to one generated Python function over
-  flat-list frames (:mod:`repro.tam.codegen`) and nodes are driven by
-  :class:`repro.sim.sweep.EventSweep`, the heap scheduler;
-* the **reference** backend (``TamMachine(n, fast=False)``): the
-  original per-instruction ``isinstance`` interpreter driven by
+* the **codegen** backend (default): each whole thread is compiled to one
+  generated Python function over flat-list frames
+  (:mod:`repro.tam.codegen`) and nodes are driven by the flag arrays of
+  :class:`repro.sim.sweep.ActiveSweep` — inlined into one fused loop for
+  unobserved runs, through :meth:`ActiveSweep.run
+  <repro.sim.sweep.ActiveSweep.run>` when a tracer, lineage tracker or
+  profiler is attached;
+* the **reference** backend (``TamMachine(n, backend="reference")``):
+  the original per-instruction ``isinstance`` interpreter driven by
   :class:`repro.sim.sweep.ReferenceSweep` (scan every node each sweep),
   kept as the executable specification.
 
 The sweep policies are contract-equivalent (same service order, same
-exact ``max_turns`` bound — ``tests/sim/test_sweep.py``) and all
+exact ``max_turns`` bound — ``tests/sim/test_sweep.py``) and both
 backends produce field-for-field identical
 :class:`~repro.tam.stats.TamStats` and turn-for-turn identical trace
 streams (``tests/tam/test_golden_equivalence.py``,
@@ -41,7 +40,6 @@ streams (``tests/tam/test_golden_equivalence.py``,
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -55,7 +53,6 @@ from repro.tam.codegen import (
     flat_read,
     flat_write,
 )
-from repro.tam.fastpath import OP_FUNCS, compile_codeblock
 from repro.tam.frame import Frame, FrameRef
 from repro.tam.instructions import (
     ConInstr,
@@ -84,7 +81,7 @@ from repro.tam.messages import (
     TamMessage,
 )
 from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
-from repro.sim.sweep import ActiveSweep, EventSweep, ReferenceSweep
+from repro.sim.sweep import ActiveSweep, ReferenceSweep
 from repro.tam.stats import TamStats
 from repro.utils.profiling import PROFILER
 
@@ -92,6 +89,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import SimProfiler
 
 __all__ = ["IStructRef", "MsgKind", "TamMessage", "TamMachine"]
+
+# ALU semantics of the reference interpreter.  The codegen backend emits
+# the same expressions as source text (codegen._OP_TEMPLATES), so both
+# backends compute bit-identical values.
+OP_FUNCS: Dict[Op, Callable] = {
+    Op.IADD: lambda a, b: int(a) + int(b),
+    Op.ISUB: lambda a, b: int(a) - int(b),
+    Op.IMUL: lambda a, b: int(a) * int(b),
+    Op.IDIV: lambda a, b: int(a) // int(b),
+    Op.FADD: lambda a, b: float(a) + float(b),
+    Op.FSUB: lambda a, b: float(a) - float(b),
+    Op.FMUL: lambda a, b: float(a) * float(b),
+    Op.FDIV: lambda a, b: float(a) / float(b),
+    Op.LT: lambda a, b: 1 if a < b else 0,
+    Op.LE: lambda a, b: 1 if a <= b else 0,
+    Op.EQ: lambda a, b: 1 if a == b else 0,
+    Op.AND: lambda a, b: 1 if (a and b) else 0,
+    Op.OR: lambda a, b: 1 if (a or b) else 0,
+    Op.MIN: lambda a, b: a if a < b else b,
+    Op.MAX: lambda a, b: a if a > b else b,
+}
 
 # Message-kind sentinel for machine-built replies on the fused codegen
 # path: the tuple carries the bound inlet function and the flat frame
@@ -106,10 +124,10 @@ class _NodeState:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.inbox: Deque[TamMessage] = deque()
-        # Continuation stack.  Reference/fastpath push (frame, label)
-        # tuples; the codegen backend pushes two bare elements — frame,
-        # then thread function — so popping a continuation allocates
-        # nothing.
+        # Continuation stack.  The reference backend pushes (frame,
+        # label) tuples; the codegen backend pushes two bare elements —
+        # frame, then thread function — so popping a continuation
+        # allocates nothing.
         self.stack: List = []
         self.frames: Dict[int, Frame] = {}
         self.istructures = IStructureMemory()
@@ -120,11 +138,10 @@ class _NodeState:
 class TamMachine:
     """A whole TAM machine.
 
-    ``backend`` selects the execution backend by name — ``"reference"``,
-    ``"fastpath"``, or ``"codegen"`` (:mod:`repro.tam.codegen`, the
-    whole-thread generated-code path).  When ``backend`` is ``None`` the
-    legacy ``fast`` flag decides: ``fast=True`` (the default) is the
-    fastpath, ``fast=False`` the reference interpreter.  All backends
+    ``backend`` selects the execution backend by name — ``"codegen"``
+    (the default; :mod:`repro.tam.codegen`, the whole-thread
+    generated-code path) or ``"reference"`` (the per-instruction
+    interpreter, kept as the executable specification).  Both backends
     produce identical statistics and results.
 
     ``tracer`` opts the machine into message-path event tracing
@@ -132,34 +149,30 @@ class TamMachine:
     ``tam_post`` event and every processed one a ``tam_handle`` event,
     stamped with a monotonic turn sequence.  Tracing is installed by
     swapping the posting/handling entry points for traced wrappers at
-    construction time — before any ``load()`` compiles closures over
-    them — so a machine built without a tracer executes byte-identical
-    code on the hot path (zero overhead when off).
+    construction time — before any ``load()`` generates code that
+    captures them — so a machine built without a tracer executes
+    byte-identical code on the hot path (zero overhead when off).
 
     ``profiler`` opts the machine into per-node turn attribution
     (:mod:`repro.obs.profiler`): every productive turn is timed and
     charged to a ``tam.node<N>`` row, and the run's batched statistics
-    are folded into the profiler's counter registry
-    (:func:`repro.tam.fastpath.feed_profiler`).  With ``None`` the run
-    loops bind the original service callbacks, so an unprofiled run pays
-    nothing.
+    are folded into the profiler's counter registry (:func:`feed_profiler`).
+    With ``None`` the run loops bind the original service callbacks, so
+    an unprofiled run pays nothing.
     """
 
-    BACKENDS = ("reference", "fastpath", "codegen")
+    BACKENDS = ("reference", "codegen")
 
     def __init__(
         self,
         n_nodes: int = 1,
-        fast: bool = True,
         tracer: Optional[Tracer] = None,
         profiler: Optional["SimProfiler"] = None,
-        backend: Optional[str] = None,
+        backend: str = "codegen",
         lineage=None,
     ) -> None:
         if n_nodes < 1:
             raise TamError("a TAM machine needs at least one node")
-        if backend is None:
-            backend = "fastpath" if fast else "reference"
         if backend not in self.BACKENDS:
             raise TamError(
                 f"unknown TAM backend {backend!r} "
@@ -167,7 +180,6 @@ class TamMachine:
             )
         self.n_nodes = n_nodes
         self.backend = backend
-        self.fast = backend != "reference"
         self._is_codegen = backend == "codegen"
         self.nodes = [_NodeState(n) for n in range(n_nodes)]
         self.codeblocks: Dict[str, Codeblock] = {}
@@ -175,31 +187,16 @@ class TamMachine:
         self.turns_executed = 0
         self._rr_next = 0
         self._compiled: Dict[str, object] = {}
-        # The kernel's service policies (repro.sim.sweep): the fastpath's
-        # active-flag scheduler and the codegen backend's event heap are
-        # per-machine state because _post pokes them directly; each is
-        # `.active` only while its run is in progress.
+        # The kernel's service policies (repro.sim.sweep).  The codegen
+        # backend's active-flag scheduler is per-machine state because
+        # _post and generated code poke its flag arrays directly; it is
+        # `.active` only while a run is in progress.
         self._sched = ActiveSweep(n_nodes)
-        self._esched = EventSweep(n_nodes)
         self._reference_sched = ReferenceSweep()
         if self._is_codegen:
             self._deliver = self._deliver_message_codegen
-            if tracer is not None or profiler is not None or lineage is not None:
-                # Observed codegen runs are driven by EventSweep
-                # (_run_codegen_generic), so posts must feed its heap.
-                # Instance-attribute override, installed before any
-                # tracer wrapper or load()-time capture sees _post.
-                # Unobserved machines keep the standard _post: the
-                # fused loop drives the ActiveSweep flag arrays, which
-                # _post already maintains.
-                self._post = self._make_event_post()
-        elif self.fast:
-            self._deliver = self._deliver_message_fast
         else:
             self._deliver = self._deliver_message
-        # Shortcut for the fast path's send accounting (the stats object
-        # is created once here and never replaced).
-        self._sends_by_words = self.stats.messages.sends_by_words
         # Codegen run accounting: one run counter per generated thread
         # (bumped by the generated code), one (instruction mix, send-word
         # mix) record per thread, folded into stats after each run.
@@ -224,8 +221,8 @@ class TamMachine:
         """Swap the message entry points for traced wrappers.
 
         Installed as *instance* attributes, which is what makes tracing
-        free when absent: the fast path's compiled closures capture
-        ``machine._post`` at ``load()`` time and the run loops bind
+        free when absent: generated code captures ``machine._post`` at
+        ``load()`` time and the run loops bind
         ``self._deliver`` / ``self._on_pread`` at entry, so with no
         tracer they resolve to the original methods and no extra branch
         ever executes.  Only the seven leaf handlers are wrapped (not
@@ -321,8 +318,6 @@ class TamMachine:
         self.codeblocks[codeblock.name] = codeblock
         if self._is_codegen:
             self._compiled[codeblock.name] = compile_codegen(codeblock, self)
-        elif self.fast:
-            self._compiled[codeblock.name] = compile_codeblock(codeblock, self)
 
     def boot(
         self, codeblock_name: str, slots: Optional[Dict[int, object]] = None
@@ -365,10 +360,6 @@ class TamMachine:
             frame = self._compiled[codeblock_name].make_frame(ref)
         else:
             frame = Frame(codeblock, ref)
-            if self.fast:
-                compiled = self._compiled[codeblock_name]
-                frame.compiled = compiled
-                frame.inlets = compiled.inlets
         state.frames[ref.frame_id] = frame
         self.stats.frames_allocated += 1
         return frame
@@ -391,7 +382,7 @@ class TamMachine:
     def frame_view(self, ref: FrameRef):
         """A ``Frame``-shaped view of an activation on any backend.
 
-        Reference/fastpath return the live :class:`Frame`; the codegen
+        The reference backend returns the live :class:`Frame`; the codegen
         backend wraps its flat list in a
         :class:`~repro.tam.codegen.FlatFrameView` with the same
         ``slots`` / ``read`` / ``counter_value`` surface, so hosts and
@@ -427,16 +418,12 @@ class TamMachine:
         with PROFILER.span("tam.run"):
             if self._is_codegen:
                 turns = self._run_codegen(max_turns)
-            elif self.fast:
-                turns = self._run_fast(max_turns)
             else:
                 turns = self._run_reference(max_turns)
         self.turns_executed += turns
         PROFILER.add("tam.turns", turns)
         PROFILER.add("tam.runs", 1)
         if self.profiler is not None:
-            from repro.tam.fastpath import feed_profiler
-
             feed_profiler(self, self.profiler)
         self._check_quiescence()
         return self.stats
@@ -488,7 +475,7 @@ class TamMachine:
         return profiled
 
     def _profiled_service(self, service: Callable) -> Callable:
-        """Wrap the fast path's service callback with turn attribution.
+        """Wrap the observed codegen service callback with turn attribution.
 
         ``service`` returns ``None`` for a no-work scan (not a turn —
         nothing is charged) and True/False after a productive turn.
@@ -515,58 +502,6 @@ class TamMachine:
         else:
             self._process_message(state, state.inbox.popleft())
 
-    def _run_fast(self, max_turns: int) -> int:
-        """The active-node policy: identical service order, no idle scans.
-
-        The scheduling itself lives in
-        :class:`repro.sim.sweep.ActiveSweep`; this method supplies the
-        service callback with every hot attribute pre-bound, so a turn
-        costs one call into the closure and no attribute traversal.
-        New work on *other* nodes is reported by :meth:`_post` poking
-        the policy's flag arrays directly (flag stores are idempotent,
-        so no duplicate-enqueue guards are needed).
-        """
-        nodes = self.nodes
-        run_thread = self._run_thread_fast
-        process = self._process_message
-        deliver = self._deliver
-        on_pread = self._on_pread
-        kind_send = MsgKind.SEND
-        kind_reply = MsgKind.REPLY
-        kind_pread = MsgKind.PREAD
-
-        def service(state: _NodeState):
-            stack = state.stack
-            if stack:
-                frame, label = stack.pop()
-                run_thread(state, frame, label)
-            elif state.inbox:
-                message = state.inbox.popleft()
-                # Dispatch the dominant kinds inline; the rest go
-                # through the full _process_message chain.
-                kind = message.kind
-                if kind is kind_send or kind is kind_reply:
-                    deliver(state, message)
-                elif kind is kind_pread:
-                    on_pread(state, message)
-                else:
-                    process(state, message)
-            else:  # pragma: no cover - flagged nodes always have work
-                return None
-            return True if (state.stack or state.inbox) else False
-
-        if self.profiler is not None:
-            service = self._profiled_service(service)
-        return self._sched.run(
-            nodes,
-            service,
-            initially_active=[
-                state.node_id for state in nodes if state.stack or state.inbox
-            ],
-            max_turns=max_turns,
-            stall=self._turn_stall(max_turns),
-        )
-
     def _run_codegen(self, max_turns: int) -> int:
         """The generated-code policy: one call per thread, flat frames.
 
@@ -575,14 +510,15 @@ class TamMachine:
         (frame list, thread function), so a thread turn is two pops and
         one call.  Unobserved runs take :meth:`_run_codegen_fused` — the
         scheduling, delivery, and presence-bit logic fused into one
-        loop; runs with a tracer or profiler keep the callback shape
-        (:meth:`_run_codegen_generic`) so the observed event stream and
-        attribution are identical to the other backends'.
+        loop; runs with a tracer, lineage tracker or profiler keep the
+        callback shape (:meth:`_run_codegen_observed`) so the observed
+        event stream and attribution are identical to the reference
+        backend's.
         """
         try:
             if self.tracer is None and self.profiler is None and self.lineage is None:
                 return self._run_codegen_fused(max_turns)
-            return self._run_codegen_generic(max_turns)
+            return self._run_codegen_observed(max_turns)
         finally:
             # Fold even when the run raised mid-way: the generated code
             # has already bumped its run counters, and stats accumulate
@@ -594,13 +530,10 @@ class TamMachine:
 
         This inlines, in one frame: :meth:`ActiveSweep.run
         <repro.sim.sweep.ActiveSweep.run>` — the flag-array realization
-        of the service order all sweep policies share (observed runs
-        take :class:`~repro.sim.sweep.EventSweep`'s heap; at paper
-        scale, 16 nodes nearly all busy every sweep, the C-speed flag
-        scan is measurably cheaper than two Python-side heap operations
-        per turn, and the policies are pinned order-identical) — inlet
-        delivery through the flat frame's dispatch dict (``frame[0]``),
-        and the PRead/PWrite protocols over the I-structure internals
+        of the service order both sweep policies share, which observed
+        runs call directly — inlet delivery through the flat frame's
+        dispatch dict (``frame[0]``), and the PRead/PWrite protocols
+        over the I-structure internals
         (:class:`~repro.node.istructure.IStructureMemory`, with the
         :class:`~repro.node.istructure.DeferredReader` built only when
         the read actually defers).  Per-turn cost is what makes or
@@ -837,82 +770,50 @@ class TamMachine:
                 in_current[i] = False
                 in_next[i] = False
 
-    def _run_codegen_generic(self, max_turns: int) -> int:
-        """The codegen backend under observation: EventSweep + callbacks.
+    def _run_codegen_observed(self, max_turns: int) -> int:
+        """The codegen backend under observation: ActiveSweep + callbacks.
 
-        Message delivery for the dominant kinds indexes the flat frame
-        directly — ``frame[0]`` is the inlet dispatch dict — unless a
-        tracer or lineage tracker is installed, in which case the
-        wrapped handlers run so every handled message emits its
+        Messages are handled through the machine's entry points
+        (``_deliver`` and the ``_on_*`` handlers), which a tracer or
+        lineage tracker has wrapped so every handled message emits its
         ``tam_handle`` event / handler span; a profiler wraps the
-        service callback for per-node turn attribution.
+        service callback for per-node turn attribution.  Posts reach the
+        flag arrays through :meth:`_post`, which ``ActiveSweep.run``'s
+        ``sweep_pos`` keeps on the same wake rule as the fused loop.
         """
-        nodes = self.nodes
         process = self._process_message
+        deliver = self._deliver
         on_pread = self._on_pread
         kind_send = MsgKind.SEND
         kind_reply = MsgKind.REPLY
         kind_pread = MsgKind.PREAD
 
-        if self.tracer is None and self.lineage is None:
-            def service(state: _NodeState):
-                stack = state.stack
-                if stack:
-                    fn = stack.pop()
-                    fn(stack, stack.pop())
-                elif state.inbox:
-                    message = state.inbox.popleft()
-                    kind = message[0]
-                    if kind is kind_send or kind is kind_reply:
-                        frame = state.frames.get(message[3])
-                        if frame is None:
-                            raise TamError(
-                                f"node {state.node_id}: no frame {message[3]}"
-                            )
-                        deliver = frame[0].get(message[2])
-                        if deliver is None:
-                            raise TamError(
-                                f"codeblock {frame[2].name!r} has no inlet "
-                                f"{message[2]}"
-                            )
-                        deliver(stack, frame, message[4])
-                    elif kind is kind_pread:
-                        on_pread(state, message)
-                    else:
-                        process(state, message)
-                else:  # pragma: no cover - queued nodes always have work
-                    return None
-                return True if (stack or state.inbox) else False
-        else:
-            deliver_traced = self._deliver
-
-            def service(state: _NodeState):
-                stack = state.stack
-                if stack:
-                    fn = stack.pop()
-                    fn(stack, stack.pop())
-                elif state.inbox:
-                    message = state.inbox.popleft()
-                    kind = message[0]
-                    if kind is kind_send or kind is kind_reply:
-                        deliver_traced(state, message)
-                    elif kind is kind_pread:
-                        on_pread(state, message)
-                    else:
-                        process(state, message)
-                else:  # pragma: no cover - queued nodes always have work
-                    return None
-                return True if (stack or state.inbox) else False
+        def service(state: _NodeState):
+            stack = state.stack
+            if stack:
+                fn = stack.pop()
+                fn(stack, stack.pop())
+            elif state.inbox:
+                message = state.inbox.popleft()
+                kind = message[0]
+                if kind is kind_send or kind is kind_reply:
+                    deliver(state, message)
+                elif kind is kind_pread:
+                    on_pread(state, message)
+                else:
+                    process(state, message)
+            else:  # pragma: no cover - flagged nodes always have work
+                return None
+            return True if (stack or state.inbox) else False
 
         if self.profiler is not None:
             service = self._profiled_service(service)
-        return self._esched.run(
+        nodes = self.nodes
+        return self._sched.run(
             nodes,
             service,
             initially_active=[
-                state.node_id
-                for state in nodes
-                if state.stack or state.inbox
+                state.node_id for state in nodes if state.stack or state.inbox
             ],
             max_turns=max_turns,
             stall=self._turn_stall(max_turns),
@@ -930,7 +831,7 @@ class TamMachine:
         meta = self._cg_meta
         stats = self.stats
         instructions = stats.instructions
-        sends = self._sends_by_words
+        sends = stats.messages.sends_by_words
         threads_run = 0
         for index, count in enumerate(runs):
             if not count:
@@ -967,23 +868,6 @@ class TamMachine:
     # ------------------------------------------------------------------
     # Thread execution.
     # ------------------------------------------------------------------
-
-    def _run_thread_fast(self, state: _NodeState, frame: Frame, label: str) -> None:
-        thread = frame.compiled.threads.get(label)
-        if thread is None:
-            raise TamError(
-                f"codeblock {frame.codeblock.name!r} has no thread {label!r}"
-            )
-        stats = self.stats
-        stats.threads_run += 1
-        stats.count_instructions(thread.mix)
-        for op in thread.ops:
-            op(state, frame)
-        if not thread.complete:
-            raise TamError(
-                f"thread {label!r} of {frame.codeblock.name!r} fell off its "
-                "end without STOP"
-            )
 
     def _run_thread(self, state: _NodeState, frame: Frame, label: str) -> None:
         self.stats.threads_run += 1
@@ -1132,42 +1016,12 @@ class TamMachine:
         if sched.active:
             # Keep the activity flags in sync: a node the sweep has not
             # reached yet joins the current sweep, otherwise the next one
-            # (inlined ActiveSweep.wake — this is the hottest path in a
-            # TAM run).
+            # (inlined ActiveSweep.wake; unobserved generated code
+            # inlines the same rule).
             if node > sched.sweep_pos:
                 sched.in_current[node] = True
             else:
                 sched.in_next[node] = True
-
-    def _make_event_post(self) -> Callable[[TamMessage], None]:
-        """Build the codegen backend's post closure: feeds the event heap.
-
-        Installed as the machine's ``_post`` instance attribute in
-        ``__init__`` (before tracing wraps it and before ``load()``-time
-        compilation captures it).  Same semantics as :meth:`_post` with
-        :meth:`repro.sim.sweep.EventSweep.wake` inlined; a closure over
-        the machine internals rather than a method, because every
-        generated message instruction calls it.
-        """
-        nodes = self.nodes
-        n_nodes = self.n_nodes
-        sched = self._esched
-        queued = sched.queued
-        heap = sched.heap
-
-        def post_event(message: TamMessage) -> None:
-            node = message[1]
-            if node < 0 or node >= n_nodes:
-                raise TamError(f"message addressed to unknown node {node}")
-            nodes[node].inbox.append(message)
-            if sched.active and queued[node] == -1:
-                key = (
-                    sched.sweep if node > sched.sweep_pos else sched.sweep + 1
-                ) * n_nodes + node
-                queued[node] = key
-                heappush(heap, key)
-
-        return post_event
 
     def _frame(self, state: _NodeState, frame_id: int) -> Frame:
         try:
@@ -1219,20 +1073,6 @@ class TamMachine:
         self._deliver_to_inlet(
             state, message.frame_id, message.inlet, message.values
         )
-
-    def _deliver_message_fast(
-        self, state: _NodeState, message: TamMessage
-    ) -> None:
-        frame = state.frames.get(message.frame_id)
-        if frame is None:
-            raise TamError(f"node {state.node_id}: no frame {message.frame_id}")
-        deliver = frame.inlets.get(message.inlet)
-        if deliver is None:
-            raise TamError(
-                f"codeblock {frame.codeblock.name!r} has no inlet "
-                f"{message.inlet}"
-            )
-        deliver(state, frame, message.values)
 
     def _deliver_message_codegen(
         self, state: _NodeState, message: TamMessage
@@ -1332,11 +1172,6 @@ class TamMachine:
         state.memory.store(message.address, int(message.values[0]))
 
 
-def _encode_reader(reply_to: Tuple[FrameRef, int]) -> DeferredReader:
-    ref, inlet = reply_to
-    return DeferredReader((ref.node << _FRAME_ID_BITS) | ref.frame_id, inlet)
-
-
 def _decode_reader(reader: DeferredReader) -> Tuple[FrameRef, int]:
     node = reader.frame_pointer >> _FRAME_ID_BITS
     frame_id = reader.frame_pointer & ((1 << _FRAME_ID_BITS) - 1)
@@ -1348,3 +1183,26 @@ def _apply(op: Op, a, b):
     if fn is None:
         raise TamError(f"unimplemented op {op}")
     return fn(a, b)
+
+
+def feed_profiler(machine: TamMachine, profiler: "SimProfiler") -> None:
+    """Fold a machine's cumulative run statistics into a profiler.
+
+    The codegen backend never updates stats per instruction — it folds
+    ``runs x static mix`` once per run — so the numbers here are
+    whole-run aggregates; they are published into the
+    :class:`~repro.obs.profiler.SimProfiler` registry as *absolute*
+    counter stores, which keeps repeated ``run()`` calls idempotent over
+    the machine's cumulative :class:`~repro.tam.stats.TamStats`.
+    """
+    stats = machine.stats
+    set_counter = profiler.set_counter
+    set_counter("tam.turns", machine.turns_executed)
+    set_counter("tam.threads_run", stats.threads_run)
+    set_counter("tam.instructions", stats.total_instructions)
+    set_counter("tam.messages", stats.messages.total_messages)
+    set_counter("tam.frames_allocated", stats.frames_allocated)
+    for name, count in stats.messages.as_dict().items():
+        set_counter(f"tam.msg.{name}", count)
+    for kind, count in stats.instructions.items():
+        set_counter(f"tam.instr.{kind.name.lower()}", count)

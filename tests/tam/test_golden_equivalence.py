@@ -1,11 +1,12 @@
-"""Golden equivalence: the fast path IS the reference path, bit for bit.
+"""Golden equivalence: the codegen backend IS the reference path, bit for bit.
 
-The compiled interpreter (:mod:`repro.tam.fastpath`) and the active-node
-scheduler are pure performance work — every observable quantity must be
-identical to the reference interpreter's.  That is a strong property:
-the message-outcome mix (full/empty/deferred presence-bit reads) depends
-on the exact interleaving of threads and messages, so these tests fail
-if the fast scheduler services even one node out of order.
+The generated-code backend (:mod:`repro.tam.codegen`, the default) and
+its active-node scheduler are pure performance work — every observable
+quantity must be identical to the reference interpreter's.  That is a
+strong property: the message-outcome mix (full/empty/deferred
+presence-bit reads) depends on the exact interleaving of threads and
+messages, so these tests fail if the codegen scheduler services even one
+node out of order.
 
 Each program runs once per path at small scale and the *entire*
 statistics object is compared field for field, together with the
@@ -36,38 +37,38 @@ def stats_as_dict(stats: TamStats) -> dict:
 
 @pytest.mark.parametrize("nodes", [1, 5])
 def test_matmul_paths_identical(nodes):
-    fast = run_matmul(n=8, nodes=nodes)
-    reference = run_matmul(n=8, nodes=nodes, fast=False)
-    assert stats_as_dict(fast.stats) == stats_as_dict(reference.stats)
-    assert fast.total == reference.total
+    codegen = run_matmul(n=8, nodes=nodes)
+    reference = run_matmul(n=8, nodes=nodes, backend="reference")
+    assert stats_as_dict(codegen.stats) == stats_as_dict(reference.stats)
+    assert codegen.total == reference.total
     assert (
-        fast.machine.turns_executed == reference.machine.turns_executed
+        codegen.machine.turns_executed == reference.machine.turns_executed
     )
 
 
 @pytest.mark.parametrize("nodes", [1, 5])
 def test_gamteb_paths_identical(nodes):
-    fast = run_gamteb(n_photons=8, nodes=nodes)
-    reference = run_gamteb(n_photons=8, nodes=nodes, fast=False)
-    assert stats_as_dict(fast.stats) == stats_as_dict(reference.stats)
-    assert (fast.absorbed, fast.escaped, fast.photons_traced) == (
+    codegen = run_gamteb(n_photons=8, nodes=nodes)
+    reference = run_gamteb(n_photons=8, nodes=nodes, backend="reference")
+    assert stats_as_dict(codegen.stats) == stats_as_dict(reference.stats)
+    assert (codegen.absorbed, codegen.escaped, codegen.photons_traced) == (
         reference.absorbed,
         reference.escaped,
         reference.photons_traced,
     )
     assert (
-        fast.machine.turns_executed == reference.machine.turns_executed
+        codegen.machine.turns_executed == reference.machine.turns_executed
     )
 
 
 @pytest.mark.parametrize("nodes", [1, 5])
 def test_queens_paths_identical(nodes):
-    fast = run_queens(n=5, nodes=nodes)
-    reference = run_queens(n=5, nodes=nodes, fast=False)
-    assert stats_as_dict(fast.stats) == stats_as_dict(reference.stats)
-    assert fast.solutions == reference.solutions
+    codegen = run_queens(n=5, nodes=nodes)
+    reference = run_queens(n=5, nodes=nodes, backend="reference")
+    assert stats_as_dict(codegen.stats) == stats_as_dict(reference.stats)
+    assert codegen.solutions == reference.solutions
     assert (
-        fast.machine.turns_executed == reference.machine.turns_executed
+        codegen.machine.turns_executed == reference.machine.turns_executed
     )
 
 
@@ -79,9 +80,9 @@ def test_istructure_outcome_mix_is_order_sensitive_and_matches():
     therefore certify identical scheduling order, not just identical
     totals.
     """
-    fast = run_matmul(n=12, nodes=7)
-    reference = run_matmul(n=12, nodes=7, fast=False)
-    f, r = fast.stats.messages, reference.stats.messages
+    codegen = run_matmul(n=12, nodes=7)
+    reference = run_matmul(n=12, nodes=7, backend="reference")
+    f, r = codegen.stats.messages, reference.stats.messages
     assert (f.preads_full, f.preads_empty, f.preads_deferred) == (
         r.preads_full,
         r.preads_empty,

@@ -1,4 +1,13 @@
-"""Tests for the TAM runtime: threads, inlets, counters, messages."""
+"""Tests for the TAM runtime: threads, inlets, counters, messages.
+
+Every machine-level case runs on each backend in
+:attr:`TamMachine.BACKENDS`: the classes below run on the default
+(codegen) backend, and the end of the module derives a
+``<Class>On<Backend>`` twin for every other one, so the reference
+interpreter — the executable specification — runs the same unit cases.
+Frames are read through the public host API (``read_slot`` /
+``write_slot`` / ``frame_view``), never a backend's own frame objects.
+"""
 
 import pytest
 
@@ -25,6 +34,15 @@ from repro.tam.instructions import (
 from repro.tam.runtime import TamMachine
 
 
+class OnBackend:
+    """Mixin: build machines on ``backend`` (the default unless derived)."""
+
+    backend = "codegen"
+
+    def machine(self, n_nodes: int) -> TamMachine:
+        return TamMachine(n_nodes, backend=self.backend)
+
+
 def simple_block() -> Codeblock:
     """slots: 0=a, 1=b, 2=result"""
     block = Codeblock("simple", frame_size=4)
@@ -41,16 +59,16 @@ def simple_block() -> Codeblock:
     return block
 
 
-class TestBasics:
+class TestBasics(OnBackend):
     def test_boot_and_run(self):
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(simple_block())
         ref = machine.boot("simple")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(2) == 42
+        assert machine.read_slot(ref, 2) == 42
 
     def test_instruction_counts(self):
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(simple_block())
         machine.boot("simple")
         stats = machine.run()
@@ -60,26 +78,26 @@ class TestBasics:
         assert stats.threads_run == 1
 
     def test_duplicate_codeblock_rejected(self):
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(simple_block())
         with pytest.raises(TamError):
             machine.load(simple_block())
 
     def test_boot_unknown_codeblock(self):
         with pytest.raises(TamError):
-            TamMachine(1).boot("ghost")
+            self.machine(1).boot("ghost")
 
     def test_thread_without_stop_rejected(self):
         block = Codeblock("nostop", frame_size=1)
         block.add_thread("entry", [ConInstr(0, 1)]).set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         machine.boot("nostop")
         with pytest.raises(TamError):
             machine.run()
 
     def test_boot_slots(self):
-        machine = TamMachine(1)
+        machine = self.machine(1)
         block = Codeblock("args", frame_size=2)
         block.add_thread(
             "entry", [OpInstr(Op.IMUL, 1, 0, Imm(3)), StopInstr()]
@@ -87,10 +105,10 @@ class TestBasics:
         machine.load(block)
         ref = machine.boot("args", slots={0: 7})
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 21
+        assert machine.read_slot(ref, 1) == 21
 
 
-class TestControlFlow:
+class TestControlFlow(OnBackend):
     def test_fork_runs_both_threads_lifo(self):
         block = Codeblock("forky", frame_size=3)
         block.add_thread(
@@ -99,11 +117,11 @@ class TestControlFlow:
         block.add_thread("a", [ConInstr(0, 1), StopInstr()])
         block.add_thread("b", [MovInstr(1, 0), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         ref = machine.boot("forky")
         machine.run()
-        frame = machine.nodes[0].frames[ref.frame_id]
+        frame = machine.frame_view(ref)
         # LIFO: b runs before a, so it copies the pre-a value of slot 0.
         assert frame.read(1) == 0
         assert frame.read(0) == 1
@@ -116,11 +134,11 @@ class TestControlFlow:
         block.add_thread("yes", [ConInstr(1, 100), StopInstr()])
         block.add_thread("no", [ConInstr(1, 200), StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         ref = machine.boot("sw")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 100
+        assert machine.read_slot(ref, 1) == 100
 
     def test_loop_with_counter_reset(self):
         # Thread loops 5 times via SWITCH; accumulates into slot 1.
@@ -140,14 +158,14 @@ class TestControlFlow:
             ],
         )
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         ref = machine.boot("loop")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 0 + 1 + 2 + 3 + 4
+        assert machine.read_slot(ref, 1) == 0 + 1 + 2 + 3 + 4
 
 
-class TestFrameAllocationAndSends:
+class TestFrameAllocationAndSends(OnBackend):
     def child_block(self) -> Codeblock:
         """Child: waits for two argument words, sends back their product."""
         block = Codeblock("child", frame_size=4)
@@ -186,20 +204,20 @@ class TestFrameAllocationAndSends:
         return block
 
     def run_parent_child(self, n_nodes: int) -> TamMachine:
-        machine = TamMachine(n_nodes)
+        machine = self.machine(n_nodes)
         machine.load(self.child_block())
         machine.load(self.parent_block())
         ref = machine.boot("parent", slots={})
         # slot 3 must hold the parent's own ref so the child can reply;
         # the feed thread sends slot values, so bank it before running.
-        machine.nodes[0].frames[ref.frame_id].write(3, ref)
+        machine.write_slot(ref, 3, ref)
         self.parent_ref = ref
         machine.run()
         return machine
 
     def test_child_computes_and_replies(self):
         machine = self.run_parent_child(n_nodes=3)
-        frame = machine.nodes[0].frames[self.parent_ref.frame_id]
+        frame = machine.frame_view(self.parent_ref)
         # child received (parent_ref, 2) at inlet 0 and 2 at inlet 1...
         # feed sent values from slots 3 (= parent ref) and 2.
         assert frame.read(1) != 0 or machine.stats.frames_allocated == 2
@@ -215,14 +233,14 @@ class TestFrameAllocationAndSends:
         block.add_thread(
             "entry", [ConInstr(0, 5), SendInstr(0, 0, ()), StopInstr()]
         ).set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         machine.boot("bad")
         with pytest.raises(TamError):
             machine.run()
 
 
-class TestIStructures:
+class TestIStructures(OnBackend):
     def producer_consumer(self, n_nodes: int, produce_first: bool) -> TamMachine:
         block = Codeblock("pc", frame_size=6)
         # slot 0 = descriptor, slot 1 = fetched value
@@ -249,7 +267,7 @@ class TestIStructures:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(n_nodes)
+        machine = self.machine(n_nodes)
         machine.load(block)
         self.ref = machine.boot("pc")
         machine.run()
@@ -259,12 +277,12 @@ class TestIStructures:
         machine = self.producer_consumer(2, produce_first=False)
         # LIFO: "first" thread forks second then first; first runs LAST...
         # either way the value must arrive.
-        frame = machine.nodes[0].frames[self.ref.frame_id]
+        frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
 
     def test_fetch_before_store_defers_then_satisfies(self):
         machine = self.producer_consumer(2, produce_first=True)
-        frame = machine.nodes[0].frames[self.ref.frame_id]
+        frame = machine.frame_view(self.ref)
         assert frame.read(1) == 77
         mix = machine.stats.messages
         assert mix.preads_full + mix.preads_empty == 1
@@ -285,14 +303,14 @@ class TestIStructures:
         block.add_thread("fetch", [IfetchInstr(0, Imm(0), 1), StopInstr()])
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(1)
+        machine = self.machine(1)
         machine.load(block)
         machine.boot("stuck")
         with pytest.raises(DeadlockError):
             machine.run()
 
 
-class TestPlainMemory:
+class TestPlainMemory(OnBackend):
     def test_write_then_read(self):
         block = Codeblock("mem", frame_size=4)
         block.add_inlet(0, dest_slots=(1,), counter="value")
@@ -309,11 +327,11 @@ class TestPlainMemory:
         )
         block.add_thread("done", [StopInstr()])
         block.set_entry("entry")
-        machine = TamMachine(2)
+        machine = self.machine(2)
         machine.load(block)
         ref = machine.boot("mem")
         machine.run()
-        assert machine.nodes[0].frames[ref.frame_id].read(1) == 123
+        assert machine.read_slot(ref, 1) == 123
         assert machine.nodes[1].memory.load(0x40) == 123
         assert machine.stats.messages.reads == 1
         assert machine.stats.messages.writes == 1
@@ -348,3 +366,17 @@ class TestValidation:
         assert frame.decrement("k") == "t"
         with pytest.raises(FrameError):
             frame.decrement("k")
+
+
+# Re-run every backend-dependent class above on the non-default backends.
+for _case in (
+    TestBasics,
+    TestControlFlow,
+    TestFrameAllocationAndSends,
+    TestIStructures,
+    TestPlainMemory,
+):
+    for _backend in TamMachine.BACKENDS:
+        if _backend != _case.backend:
+            _name = f"{_case.__name__}On{_backend.title()}"
+            globals()[_name] = type(_name, (_case,), {"backend": _backend})
