@@ -53,6 +53,7 @@ from repro.nic.dispatch import (
 from repro.nic.interface import NetworkInterface, SendResult
 from repro.nic.messages import Message
 from repro.nic.queues import DEFAULT_CAPACITY
+from repro.obs.probe import Probe
 from repro.sim import SimComponent, SimKernel
 
 #: Where the engine parks each interface's dispatch table; any
@@ -78,12 +79,12 @@ class _EngineContext(HandlerContext):
 
     def emit(self, message: Message) -> None:
         self._pending.append(message)
-        lineage = self._engine.lineage
-        if lineage is not None:
+        probe = self._engine.probe
+        if probe is not None:
             # The NI recomposes this message at flush time, so note the
             # causal parents now, keyed on the pending object, and bind
             # them to the real send record in _flush_sends.
-            lineage.collective_emit(self.node, message)
+            probe.collective_emit(self.node, message)
 
 
 @dataclass
@@ -154,7 +155,7 @@ class NicHandlerEngine(SimComponent):
         self._pending: List[Deque[Message]] = [
             deque() for _ in range(tree.n_nodes)
         ]
-        self.lineage = None
+        self.probe: Optional[Probe] = None
         self.contexts: List[_EngineContext] = [
             _EngineContext(node, tree, kind, op, self._pending[node], self)
             for node in range(tree.n_nodes)
@@ -162,10 +163,10 @@ class NicHandlerEngine(SimComponent):
         for interface in fabric.interfaces:
             interface.ip_base = ip_base
 
-    def attach_lineage(self, lineage) -> None:
-        """Opt in to causal lineage: consumed messages become parents of
-        the emissions they trigger (combining-tree fan-in/fan-out)."""
-        self.lineage = lineage
+    def attach_probe(self, probe: Optional[Probe]) -> None:
+        """Report handler starts, emissions and sends to ``probe``: lineage
+        makes consumed messages the parents of the emissions they cause."""
+        self.probe = probe
 
     # ------------------------------------------------------------------
     # Processor-side surface: initiation and completion.
@@ -214,8 +215,8 @@ class NicHandlerEngine(SimComponent):
             if interface.send(message.mtype) is not SendResult.SENT:
                 return  # oafull: retry next cycle, order preserved
             pending.popleft()
-            if self.lineage is not None:
-                self.lineage.bind_deferred(message)
+            if self.probe is not None:
+                self.probe.bind_deferred(message)
 
     def _service(self, node: int, interface: NetworkInterface) -> None:
         ctx = self.contexts[node]
@@ -231,12 +232,13 @@ class NicHandlerEngine(SimComponent):
                 )
             message = interface.current_message
             ctx.state.events["handled"] += 1
-            lineage = self.lineage
-            if lineage is not None:
-                lineage.begin_collective_handler(node, message)
-            program(ctx, message)
-            if lineage is not None:
-                lineage.end_collective_handler(node)
+            probe = self.probe
+            if probe is None:
+                program(ctx, message)
+            else:
+                probe.begin_collective_handler(node, message)
+                program(ctx, message)
+                probe.end_collective_handler(node)
             interface.next()
             if self.step_cycles:
                 self._busy[node] = self.step_cycles - 1
@@ -344,8 +346,7 @@ def run_nic_collective(
     )
     tree = CombiningTree(n, root=root, arity=arity)
     engine = NicHandlerEngine(fabric, tree, kind, op, step_cycles=step_cycles)
-    if lineage is not None:
-        engine.attach_lineage(lineage)
+    engine.attach_probe(lineage)
     kernel = SimKernel()
     kernel.register(_FabricComponent(fabric))
     kernel.register(engine)

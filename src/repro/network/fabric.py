@@ -40,10 +40,10 @@ evaluation's instruction counts never depend on fabric latency (the
 paper's simulator "did not model ... any network latency"), but the
 examples and the flow-control tests exercise it.
 
-Observability is opt-in: pass ``tracer=`` / ``metrics=`` to record
-structured events (:mod:`repro.obs.tracer`) and per-cycle time series
-(:mod:`repro.obs.metrics`); with both left ``None`` the cycle loop pays
-only a pair of identity checks.
+Observability is opt-in: ``tracer=`` / ``lineage=`` record events and
+per-message spans through one shared probe (:mod:`repro.obs.probe`),
+``metrics=`` per-cycle time series (:mod:`repro.obs.metrics`); with
+nothing attached each transition pays one identity check.
 
 Deadlock is a first-class diagnostic: :meth:`Fabric.find_deadlock`
 searches the buffer wait-for graph for a cycle of full buffers whose
@@ -66,7 +66,8 @@ from repro.nic.interface import NetworkInterface
 from repro.nic.messages import Message
 from repro.nic.rtl import FLITS_PER_MESSAGE
 from repro.obs.metrics import MetricsRecorder
-from repro.obs.tracer import BLOCK, EJECT, Tracer
+from repro.obs.probe import Probe, combine
+from repro.obs.tracer import Tracer
 from repro.sim.kernel import SimKernel
 
 
@@ -143,35 +144,21 @@ class Fabric:
         # started for, plus the cycles it still occupies the channel.
         self._injection_timers: Dict[int, Tuple[Message, int]] = {}
         self.stats = FabricStats()
-        self.tracer = tracer
         self.metrics = metrics
         self._n_links = sum(len(r.neighbors) for r in self.routers)
         self._almost_full_state: Dict[Tuple[int, str], bool] = {}
-        if tracer is not None:
-            clock = lambda: self.stats.cycles  # noqa: E731 - shared cycle clock
-            for router in self.routers:
-                router.attach_tracer(tracer, clock)
-            for interface in self.interfaces:
-                interface.attach_tracer(tracer, clock)
-        self.lineage = None
-        if lineage is not None:
-            self.attach_lineage(lineage)
+        self.attach_probe(combine(tracer, lineage))
 
-    def attach_lineage(self, lineage) -> None:
-        """Opt in to span-based lineage tracing (:mod:`repro.obs.lineage`).
+    def attach_probe(self, probe: Optional[Probe]) -> None:
+        """Report the whole message path to ``probe`` (``None`` detaches).
 
-        Wires the tracker, on the fabric's cycle clock, into every
-        router and interface (and their input queues, for receive-side
-        drains) so one tracker sees the whole message path.  Off by
-        default; when off the cycle loop pays one identity check at the
-        two blocked-move charge sites and one per serialization start.
+        The fabric reports the network's transitions itself and attaches
+        the probe, on its cycle clock, to every interface.
         """
-        self.lineage = lineage
+        self.probe = probe
         clock = lambda: self.stats.cycles  # noqa: E731 - shared cycle clock
-        for router in self.routers:
-            router.attach_lineage(lineage, clock)
         for interface in self.interfaces:
-            interface.attach_lineage(lineage, clock)
+            interface.attach_probe(probe, clock)
 
     def interface(self, node: int) -> NetworkInterface:
         return self.interfaces[self.topology.check_node(node)]
@@ -218,8 +205,7 @@ class Fabric:
     def _move_messages(self) -> Tuple[int, int]:
         delivered = 0
         link_moves = 0
-        tracer = self.tracer
-        lineage = self.lineage
+        probe = self.probe
         # Snapshot service decisions AND credits before moving anything,
         # so a message cannot traverse two links in one cycle and a
         # buffer slot freed by an earlier move this cycle cannot be
@@ -292,23 +278,19 @@ class Fabric:
                     by_type[mtype] = by_type.get(mtype, 0) + 1
                     hops_by = self.stats.hops_by_type
                     hops_by[mtype] = hops_by.get(mtype, 0) + item.hops
-                    if tracer is not None:
-                        tracer.emit(
+                    if probe is not None:
+                        probe.on_eject(
+                            message,
                             self.stats.cycles,
-                            EJECT,
                             router.node,
-                            hops=item.hops,
-                            latency=self.stats.cycles - item.injected_at,
+                            item.hops,
+                            self.stats.cycles - item.injected_at,
                         )
                 else:
                     self.stats.deliveries_refused += 1
                     router.stats.blocked_moves += 1
-                    if lineage is not None:
-                        lineage.on_block(message, self.stats.cycles)
-                    if tracer is not None:
-                        tracer.emit(
-                            self.stats.cycles, BLOCK, router.node, port="eject"
-                        )
+                    if probe is not None:
+                        probe.on_block(message, self.stats.cycles, router.node, None)
             else:
                 key = (target, router.node, vc)
                 if link_credit[key]:
@@ -316,22 +298,18 @@ class Fabric:
                     # router feeds the (target, self, vc) buffer, but be
                     # explicit).
                     link_credit[key] = False
-                    self.routers[target].accept_from(
-                        router.node, router.take(source), vc
-                    )
+                    self.routers[target].accept_from(router.node, router.take(source), vc)
+                    if probe is not None:
+                        probe.on_hop(
+                            item.message, self.stats.cycles, item.hops, target, vc, router.node
+                        )
                     router.stats.forwarded += 1
                     link_moves += 1
                 else:
                     router.stats.blocked_moves += 1
-                    if lineage is not None:
-                        lineage.on_block(item.message, self.stats.cycles)
-                    if tracer is not None:
-                        tracer.emit(
-                            self.stats.cycles,
-                            BLOCK,
-                            router.node,
-                            port="link",
-                            to=target,
+                    if probe is not None:
+                        probe.on_block(
+                            item.message, self.stats.cycles, router.node, target
                         )
         return delivered, link_moves
 
@@ -353,8 +331,8 @@ class Fabric:
             entry = self._injection_timers.get(node)
             if entry is None or entry[0] is not head:
                 remaining = self.serialization_cycles
-                if self.lineage is not None:
-                    self.lineage.on_serialize_start(head, self.stats.cycles)
+                if self.probe is not None:
+                    self.probe.on_serialize_start(head, self.stats.cycles)
             else:
                 remaining = entry[1]
             remaining -= 1
@@ -365,6 +343,8 @@ class Fabric:
             message = interface.transmit()
             assert message is head
             router.inject(InTransit(message, injected_at=self.stats.cycles))
+            if self.probe is not None:
+                self.probe.on_inject(message, self.stats.cycles, node)
 
     def _sample_metrics(self, delivered: int, link_moves: int) -> None:
         """Record this cycle's time-series samples and threshold edges."""

@@ -41,16 +41,7 @@ from repro.nic.messages import (
     build_gather_messages,
 )
 from repro.nic.queues import DEFAULT_CAPACITY, MessageQueue
-from repro.obs.tracer import (
-    DELIVER,
-    DISPATCH,
-    DIVERT,
-    NEXT,
-    REFUSE,
-    SEND,
-    SEND_STALL,
-    Tracer,
-)
+from repro.obs.probe import Probe
 from repro.utils.bitfield import to_word
 
 
@@ -175,37 +166,21 @@ class NetworkInterface:
         self.tenant_cap: Optional[int] = None
         self.interrupt_hook: Optional[Callable[[], None]] = None
         self.interrupts_raised = 0
-        self.tracer: Optional[Tracer] = None
-        self.lineage = None
+        self.probe: Optional[Probe] = None
         self._clock: Callable[[], int] = _zero_clock
         self._refresh_status()
 
-    def attach_tracer(
-        self, tracer: Tracer, clock: Optional[Callable[[], int]] = None
+    def attach_probe(
+        self, probe: Optional[Probe], clock: Optional[Callable[[], int]] = None
     ) -> None:
-        """Opt in to event tracing; ``clock`` supplies the current cycle.
+        """Report every transition to ``probe`` (``None`` detaches).
 
-        Standalone interfaces (no fabric) default to timestamp 0; the
-        fabric attaches its own cycle counter so interface events line up
-        with router events on the same time axis.
+        ``clock`` supplies the current cycle: the fabric passes its own,
+        standalone interfaces stamp 0.
         """
-        self.tracer = tracer
+        self.probe = probe
         if clock is not None:
             self._clock = clock
-
-    def attach_lineage(
-        self, lineage, clock: Optional[Callable[[], int]] = None
-    ) -> None:
-        """Opt in to span-based lineage tracing (:mod:`repro.obs.lineage`).
-
-        Same contract as :meth:`attach_tracer`: off by default, one
-        identity check per hook site when off.  The input queue shares
-        the tracker so receive-side drains (tenancy parking) are seen.
-        """
-        self.lineage = lineage
-        if clock is not None:
-            self._clock = clock
-        self.input_queue.attach_lineage(lineage, self._clock)
 
     def attach_tenant_scheduler(self, scheduler: "TenantSchedulerLike") -> None:
         """Install the receive-side scheduler (Section 2.1.3, pluggable).
@@ -378,23 +353,15 @@ class NetworkInterface:
                     f"node {self.node}: output queue full and policy is EXCEPTION"
                 )
             self.stats.send_stalls += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), SEND_STALL, self.node,
-                    dest=message.destination,
-                )
+            if self.probe is not None:
+                self.probe.on_send_stall(message, self.node, self._clock())
             return SendResult.STALLED
         self.output_queue.push(message)
         self.stats.sends += 1
         self.stats.sends_by_mode[mode] += 1
-        if self.lineage is not None:
-            self.lineage.on_send(message, self.node, self._clock())
+        if self.probe is not None:
+            self.probe.on_send(message, self.node, self._clock(), mode)
         self._refresh_status()
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), SEND, self.node,
-                dest=message.destination, mtype=mtype, mode=mode.value,
-            )
         return SendResult.SENT
 
     def send_gather(
@@ -432,10 +399,8 @@ class NetworkInterface:
         self.stats.nexts += 1
         retired = self._current
         self._current = None
-        if self.tracer is not None:
-            self.tracer.emit(self._clock(), NEXT, self.node)
-        if self.lineage is not None and retired is not None:
-            self.lineage.on_retire(retired, self._clock())
+        if self.probe is not None:
+            self.probe.on_retire(retired, self._clock(), self.node)
         self._advance()
         self._refresh_status()
 
@@ -478,10 +443,8 @@ class NetworkInterface:
         same contract as a refusing ``deliver``.
         """
         self.stats.refused += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), REFUSE, self.node, dest=message.destination
-            )
+        if self.probe is not None:
+            self.probe.on_refuse(message, self._clock(), self.node)
         return False
 
     def deliver(self, message: Message) -> bool:
@@ -495,20 +458,11 @@ class NetworkInterface:
         if self._divert_if_protected(message):
             return True
         if self.input_queue.is_full:
-            self.stats.refused += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), REFUSE, self.node, dest=message.destination
-                )
-            return False
+            return self.refuse_delivery(message)
         self.input_queue.push(message)
         self.stats.delivered += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self._clock(), DELIVER, self.node, mtype=message.mtype
-            )
-        if self.lineage is not None:
-            self.lineage.on_deliver(message, self._clock())
+        if self.probe is not None:
+            self.probe.on_deliver(message, self._clock(), self.node)
         self._advance()
         self._refresh_status()
         if self.control["arrival_interrupt"] and self.interrupt_hook is not None:
@@ -526,6 +480,24 @@ class NetworkInterface:
     def peek_outgoing(self) -> Optional[Message]:
         """The oldest outgoing message without removing it."""
         return self.output_queue.peek()
+
+    def park_input(self) -> List[Message]:
+        """Empty the input registers and queue for a context switch.
+
+        Returns the message in the input registers (if any) followed by
+        the queued ones, oldest first — the receive-side state a switch
+        must save (Section 2.1.3).  Parking bypasses ``NEXT``, so each
+        message is reported to the probe as drained; STATUS is refreshed.
+        """
+        drained = [] if self._current is None else [self._current]
+        self._current = None
+        drained.extend(self.input_queue.drain())
+        if self.probe is not None:
+            now = self._clock()
+            for message in drained:
+                self.probe.on_drain(message, now)
+        self._refresh_status()
+        return drained
 
     # ------------------------------------------------------------------
     # Internals.
@@ -556,8 +528,8 @@ class NetworkInterface:
                 self.input_queue.tenant_stats.on_cap_rejection(message.pin)
             reason = DIVERT_CAP
         if reason is not None:
-            if self.lineage is not None:
-                self.lineage.on_divert(message, self._clock(), reason)
+            if self.probe is not None:
+                self.probe.on_divert(message, self._clock(), reason, self.node)
             if self.tenant_scheduler is not None:
                 self.tenant_scheduler.on_divert(self, message, reason)
             elif self._accept_hook is not None:
@@ -565,27 +537,18 @@ class NetworkInterface:
             else:
                 self.privileged_store.append(message)
             self._refresh_status()
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), DIVERT, self.node,
-                    privileged=message.privileged, pin=message.pin,
-                )
         return reason is not None
 
     def _advance(self) -> None:
         """Auto-load the input registers from the queue when they are empty."""
         if self._current is None:
             self._current = self.input_queue.try_pop()
-            if self._current is not None and self.tracer is not None:
-                self.tracer.emit(
-                    self._clock(), DISPATCH, self.node,
-                    mtype=self._current.mtype,
-                )
-            if self._current is not None and self.lineage is not None:
-                self.lineage.on_dispatch(
+            if self._current is not None and self.probe is not None:
+                self.probe.on_dispatch(
                     self._current,
                     self._clock(),
                     describe_dispatch(self._current, self._conditions()),
+                    self.node,
                 )
 
     def _refresh_status(self) -> None:

@@ -70,6 +70,9 @@ _EXPORTS: Dict[str, str] = {
     "LineageTracker": "lineage",
     "PHASES": "lineage",
     "Span": "lineage",
+    # probe
+    "Probe": "probe",
+    "combine": "probe",
     # breakdown
     "LINEAGE_SCHEMA": "breakdown",
     "critical_path": "breakdown",

@@ -34,12 +34,10 @@ partition its lifetime *by construction*; the reconciliation pass in
 :mod:`repro.obs.breakdown` then verifies that the hooks actually
 covered ``[inject, deliver]`` with no gaps.
 
-The tracker follows the tracer's zero-cost-when-off contract: every
-producer keeps a ``lineage`` attribute defaulting to ``None`` and
-guards call sites with an identity check, so unobserved runs execute
-byte-identical code.  TAM runtimes install wrappers at construction
-time (mirroring ``Tracer``), which keeps the fused codegen loop and
-its inlined generated posts untouched when lineage is off.
+The tracker is a :class:`~repro.obs.probe.Probe` and shares each
+layer's ``probe`` slot with the tracer, so it sees exactly the
+transitions the tracer does, at the same zero cost when off; the fused
+codegen loop and its inlined posts run only when nothing observes.
 
 Causality is a DAG over lineage records: a collectives handler's
 emission is caused by *all* child messages it consumed since its last
@@ -52,7 +50,9 @@ id reuse.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.obs.probe import Probe
 
 __all__ = [
     "LineageRecord",
@@ -262,11 +262,11 @@ def _mtype_name(message: Any) -> Optional[str]:
     return getattr(mtype, "name", None) or str(mtype)
 
 
-class LineageTracker:
+class LineageTracker(Probe):
     """Collects :class:`LineageRecord` spans from every layer.
 
     One tracker observes one run; fabric-side hooks use the fabric's
-    cycle clock (installed via the producers' ``attach_lineage``), and
+    cycle clock (installed via the producers' ``attach_probe``), and
     TAM-side hooks use a private monotonic turn sequence (``timeline``
     distinguishes the two in reports).  All hooks are defensive — an
     unexpected state is absorbed, never raised — so a partially
@@ -320,7 +320,7 @@ class LineageTracker:
 
     # -- fabric/NI hooks (cycle timeline) --------------------------------
 
-    def on_send(self, message: Any, node: int, ts: int) -> None:
+    def on_send(self, message: Any, node: int, ts: int, mode: Any = None) -> None:
         """A message was accepted into an NI output queue."""
         record = self._new_record(
             message,
@@ -374,13 +374,13 @@ class LineageTracker:
         record.node = node
         record.vc = vc
 
-    def on_block(self, message: Any, ts: int) -> None:
+    def on_block(self, message: Any, ts: int, node: Any = None, to: Any = None) -> None:
         """The fabric charged a blocked move for this message."""
         record = self.live.get(id(message))
         if record is not None and record.state == "transit":
             record.blocked.append(ts)
 
-    def on_deliver(self, message: Any, ts: int) -> None:
+    def on_deliver(self, message: Any, ts: int, node: Any = None) -> None:
         """The message landed in an NI input queue."""
         record = self.live.get(id(message))
         if record is None:
@@ -400,7 +400,7 @@ class LineageTracker:
                 record.delivered = ts
             record.state = "queued"
 
-    def on_divert(self, message: Any, ts: int, reason: str) -> None:
+    def on_divert(self, message: Any, ts: int, reason: str, node: Any = None) -> None:
         """The NI diverted the message to the system queue."""
         record = self.live.get(id(message))
         if record is None:
@@ -443,7 +443,7 @@ class LineageTracker:
         record.state = "diverted"
 
     def on_dispatch(
-        self, message: Any, ts: int, detail: Optional[Dict[str, Any]] = None
+        self, message: Any, ts: int, detail: Optional[Dict[str, Any]] = None, node: Any = None
     ) -> None:
         """Hardware dispatch popped the message into the registers."""
         record = self.live.get(id(message))
@@ -453,7 +453,7 @@ class LineageTracker:
         record.handler_detail = detail
         record.state = "current"
 
-    def on_retire(self, message: Any, ts: int) -> None:
+    def on_retire(self, message: Any, ts: int, node: Any = None) -> None:
         """The handler executed NEXT; the message is done."""
         record = self.live.pop(id(message), None)
         if record is None:
@@ -506,7 +506,7 @@ class LineageTracker:
 
     # -- TAM hooks (turn timeline) ---------------------------------------
 
-    def tam_post(self, message: Any) -> None:
+    def tam_post(self, message: Any, turn: Any = None) -> None:
         """A TAM runtime posted an inter-frame message."""
         self._tam_seq += 1
         record = self._new_record(
@@ -523,7 +523,9 @@ class LineageTracker:
             record.parents.append(parent)
             parent.children.append(record)
 
-    def tam_begin_handle(self, message: Any) -> Optional[LineageRecord]:
+    def tam_begin_handle(
+        self, message: Any, node: Any = None, turn: Any = None
+    ) -> Optional[LineageRecord]:
         """A wrapped leaf handler starts handling ``message``."""
         self._tam_seq += 1
         record = self.live.pop(id(message), None)
@@ -562,7 +564,3 @@ class LineageTracker:
         self._tam_seq = 0
         self._next_lid = 0
 
-
-#: Factory used by attach points that want a clock closure paired with
-#: the tracker; kept tiny so producers can remain lineage-agnostic.
-ClockFn = Callable[[], int]

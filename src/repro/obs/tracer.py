@@ -25,11 +25,12 @@ kind         emitted when
 ``tam_handle`` a TAM node processed one inter-frame message
 ===========  ================================================================
 
-The tracer is opt-in and *zero-cost when off*: every instrumented hot
-path keeps a ``tracer`` reference that defaults to ``None`` and guards
-emission with an identity check (the TAM runtime goes further and only
-installs traced entry points when a tracer is supplied, so its disabled
-hot path is byte-identical to the uninstrumented one).
+The tracer is a :class:`~repro.obs.probe.Probe`: layers report
+transitions, and its hook methods below are the only place the event
+format (kind, node, timestamp, detail fields) is defined; every event
+goes through :meth:`Tracer.emit`.  Tracing is zero-cost when off: an
+unobserved layer pays one identity check per transition, and an
+unobserved TAM machine runs byte-identical uninstrumented code.
 
 Events land in a bounded ring buffer so tracing a long run cannot
 exhaust memory; per-kind counts are kept separately and never evicted,
@@ -43,7 +44,9 @@ has wrapped.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, NamedTuple, Optional
+from typing import Any, Deque, Dict, Iterator, NamedTuple, Optional
+
+from repro.obs.probe import Probe
 
 # Event kinds.  Plain strings (not an enum): emission sits on simulator
 # hot paths and exports want the string anyway.
@@ -93,7 +96,7 @@ class TraceEvent(NamedTuple):
     """Kind-specific fields (destination, hop count, message kind, ...)."""
 
 
-class Tracer:
+class Tracer(Probe):
     """A ring-buffered recorder of :class:`TraceEvent`.
 
     ``capacity`` bounds the ring; ``None`` keeps every event (tests and
@@ -115,6 +118,50 @@ class Tracer:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.emitted += 1
         self.events.append(TraceEvent(ts, kind, node, detail))
+
+    # -- probe hooks: one event per observed transition ------------------
+
+    def on_send(self, message: Any, node: int, ts: int, mode: Any) -> None:
+        self.emit(ts, SEND, node, dest=message.destination, mtype=message.mtype, mode=mode.value)
+
+    def on_send_stall(self, message: Any, node: int, ts: int) -> None:
+        self.emit(ts, SEND_STALL, node, dest=message.destination)
+
+    def on_inject(self, message: Any, ts: int, node: int) -> None:
+        self.emit(ts, INJECT, node, dest=message.destination)
+
+    def on_hop(self, message: Any, ts: int, hops: int, node: int, vc: int, src: int) -> None:
+        self.emit(ts, HOP, node, src=src, dest=message.destination, hops=hops)
+
+    def on_block(self, message: Any, ts: int, node: int, to: Optional[int]) -> None:
+        if to is None:
+            self.emit(ts, BLOCK, node, port="eject")
+        else:
+            self.emit(ts, BLOCK, node, port="link", to=to)
+
+    def on_eject(self, message: Any, ts: int, node: int, hops: int, latency: int) -> None:
+        self.emit(ts, EJECT, node, hops=hops, latency=latency)
+
+    def on_refuse(self, message: Any, ts: int, node: int) -> None:
+        self.emit(ts, REFUSE, node, dest=message.destination)
+
+    def on_deliver(self, message: Any, ts: int, node: int) -> None:
+        self.emit(ts, DELIVER, node, mtype=message.mtype)
+
+    def on_divert(self, message: Any, ts: int, reason: str, node: int) -> None:
+        self.emit(ts, DIVERT, node, privileged=message.privileged, pin=message.pin)
+
+    def on_dispatch(self, message: Any, ts: int, detail: Optional[dict], node: int) -> None:
+        self.emit(ts, DISPATCH, node, mtype=message.mtype)
+
+    def on_retire(self, message: Any, ts: int, node: int) -> None:
+        self.emit(ts, NEXT, node)
+
+    def tam_post(self, message: Any, turn: int) -> None:
+        self.emit(turn, TAM_POST, message.node, mkind=message.kind.name)
+
+    def tam_begin_handle(self, message: Any, node: int, turn: int) -> None:
+        self.emit(turn, TAM_HANDLE, node, mkind=message.kind.name)
 
     def count(self, kind: str) -> int:
         """Exact number of ``kind`` events emitted (eviction-proof)."""

@@ -326,20 +326,16 @@ class _Emitter:
             "_ck_ifetch": _check_ifetch_ref,
             "_ck_istore": _check_istore_ref,
         }
-        # Unobserved machines (no tracer, no profiler, no lineage — the
-        # ones _run_codegen_fused drives) get the post transport
+        # Unobserved machines (no probe, no profiler — the ones
+        # _run_codegen_fused drives) get the post transport
         # inlined: generated message instructions append to the target
         # inbox and set the sweep flag directly, skipping the closure
         # call, and build plain tuples instead of TamMessages for the
         # kinds the fused loop consumes positionally (SEND, PREAD).
-        # Observed machines keep the ``post`` call so traced/lineage
+        # Observed machines keep the ``post`` call so the probe's
         # wrappers see every message and _on_pread's attribute access
         # keeps working.
-        self.inline_post = (
-            machine.tracer is None
-            and machine.profiler is None
-            and machine.lineage is None
-        )
+        self.inline_post = machine.probe is None and machine.profiler is None
         if self.inline_post:
             self.namespace.update({
                 "nodes": machine.nodes,

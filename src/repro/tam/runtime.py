@@ -80,7 +80,8 @@ from repro.tam.messages import (
     MsgKind,
     TamMessage,
 )
-from repro.obs.tracer import TAM_HANDLE, TAM_POST, Tracer
+from repro.obs.probe import combine
+from repro.obs.tracer import Tracer
 from repro.sim.sweep import ActiveSweep, ReferenceSweep
 from repro.tam.stats import TamStats
 from repro.utils.profiling import PROFILER
@@ -147,11 +148,12 @@ class TamMachine:
     ``tracer`` opts the machine into message-path event tracing
     (:mod:`repro.obs.tracer`): every posted inter-frame message emits a
     ``tam_post`` event and every processed one a ``tam_handle`` event,
-    stamped with a monotonic turn sequence.  Tracing is installed by
-    swapping the posting/handling entry points for traced wrappers at
-    construction time — before any ``load()`` generates code that
-    captures them — so a machine built without a tracer executes
-    byte-identical code on the hot path (zero overhead when off).
+    stamped with a monotonic turn sequence; ``lineage``
+    (:mod:`repro.obs.lineage`) records them as causal spans.  Both share
+    one probe, installed by swapping the posting/handling entry points
+    for observed wrappers at construction time — before any ``load()``
+    generates code that captures them — so a machine built without
+    either executes byte-identical code on the hot path.
 
     ``profiler`` opts the machine into per-node turn attribution
     (:mod:`repro.obs.profiler`): every productive turn is timed and
@@ -203,96 +205,47 @@ class TamMachine:
         self._cg_runs: List[int] = []
         self._cg_meta: List[Tuple[Tuple, Tuple]] = []
         self.tracer = tracer
+        self.probe = combine(tracer, lineage)
         self._trace_seq = 0
-        if tracer is not None:
-            self._install_tracing()
-        # Lineage (repro.obs.lineage) uses the same construction-time
-        # wrapper swap as the tracer: posts create causal records, the
-        # seven leaf handlers bracket handler spans, and a post issued
-        # while a wrapped handler runs links request to response.
-        self.lineage = lineage
-        if lineage is not None:
-            self._install_lineage()
-        # Like the tracer, the profiler is identity-guarded: with None
+        if self.probe is not None:
+            self._install_probe()
+        # Like the probe, the profiler is identity-guarded: with None
         # the run loops use the original service callbacks unchanged.
         self.profiler = profiler
 
-    def _install_tracing(self) -> None:
-        """Swap the message entry points for traced wrappers.
+    def _install_probe(self) -> None:
+        """Swap the message entry points for observed wrappers.
 
-        Installed as *instance* attributes, which is what makes tracing
-        free when absent: generated code captures ``machine._post`` at
-        ``load()`` time and the run loops bind
+        Installed as *instance* attributes, which is what makes
+        observation free when absent: generated code captures
+        ``machine._post`` at ``load()`` time and the run loops bind
         ``self._deliver`` / ``self._on_pread`` at entry, so with no
-        tracer they resolve to the original methods and no extra branch
+        probe they resolve to the original methods and no extra branch
         ever executes.  Only the seven leaf handlers are wrapped (not
         ``_process_message``, which merely dispatches to them), so each
-        processed message emits exactly one ``tam_handle`` event on both
-        execution paths.
+        processed message is reported exactly once on both execution
+        paths.  A ``_post`` issued inside a handler (e.g. ``_reply``)
+        falls between its begin/end pair, which is how lineage links a
+        request to its response.
         """
-        tracer = self.tracer
+        probe = self.probe
         plain_post = self._post
 
-        def traced_post(message: TamMessage) -> None:
+        def observed_post(message: TamMessage) -> None:
             self._trace_seq += 1
-            tracer.emit(
-                self._trace_seq, TAM_POST, message.node, mkind=message.kind.name
-            )
+            probe.tam_post(message, self._trace_seq)
             plain_post(message)
 
-        self._post = traced_post
-
-        def wrap_handler(handler):
-            def traced(state: _NodeState, message: TamMessage) -> None:
-                self._trace_seq += 1
-                tracer.emit(
-                    self._trace_seq,
-                    TAM_HANDLE,
-                    state.node_id,
-                    mkind=message.kind.name,
-                )
-                handler(state, message)
-
-            return traced
-
-        for name in (
-            "_deliver",
-            "_on_pread",
-            "_on_pwrite",
-            "_on_falloc",
-            "_on_ialloc",
-            "_on_read",
-            "_on_write",
-        ):
-            setattr(self, name, wrap_handler(getattr(self, name)))
-
-    def _install_lineage(self) -> None:
-        """Swap the message entry points for lineage-recording wrappers.
-
-        Same instance-attribute mechanism (and the same seven leaf
-        handlers) as :meth:`_install_tracing`, so a machine built
-        without lineage executes byte-identical hot-path code.  The
-        tracker runs on its own monotonic turn sequence; a ``_post``
-        issued while a wrapped handler is running (e.g. ``_reply``)
-        records the handled message as the new message's causal parent,
-        which is what links a request to its response in the DAG.
-        """
-        lineage = self.lineage
-        plain_post = self._post
-
-        def lineage_post(message: TamMessage) -> None:
-            lineage.tam_post(message)
-            plain_post(message)
-
-        self._post = lineage_post
+        self._post = observed_post
 
         def wrap_handler(handler):
             def observed(state: _NodeState, message: TamMessage) -> None:
-                record = lineage.tam_begin_handle(message)
+                self._trace_seq += 1
+                token = probe.tam_begin_handle(message, state.node_id, self._trace_seq)
                 try:
                     handler(state, message)
                 finally:
-                    lineage.tam_end_handle(record)
+                    probe.tam_end_handle(token)
 
             return observed
 
@@ -516,7 +469,7 @@ class TamMachine:
         backend's.
         """
         try:
-            if self.tracer is None and self.profiler is None and self.lineage is None:
+            if self.probe is None and self.profiler is None:
                 return self._run_codegen_fused(max_turns)
             return self._run_codegen_observed(max_turns)
         finally:
@@ -774,9 +727,9 @@ class TamMachine:
         """The codegen backend under observation: ActiveSweep + callbacks.
 
         Messages are handled through the machine's entry points
-        (``_deliver`` and the ``_on_*`` handlers), which a tracer or
-        lineage tracker has wrapped so every handled message emits its
-        ``tam_handle`` event / handler span; a profiler wraps the
+        (``_deliver`` and the ``_on_*`` handlers), which
+        :meth:`_install_probe` has wrapped so every handled message emits
+        its ``tam_handle`` event / handler span; a profiler wraps the
         service callback for per-node turn attribution.  Posts reach the
         flag arrays through :meth:`_post`, which ``ActiveSweep.run``'s
         ``sweep_pos`` keeps on the same wake rule as the fused loop.

@@ -326,3 +326,37 @@ class TestSendGather:
         fragment = ni.transmit()
         assert fragment.mtype == 0
         assert fragment.word(1) == 0x5020
+
+
+class TestParkInput:
+    def test_returns_registers_then_queue_and_clears_status(self):
+        ni = make_ni()
+        for word in (1, 2, 3):
+            ni.deliver(request(words=(word, 0, 0, 0)))
+        parked = ni.park_input()
+        assert [message.word(1) for message in parked] == [1, 2, 3]
+        assert not ni.msg_valid
+        assert ni.input_queue.depth == 0
+        assert ni.status["msg_valid"] == 0
+        assert ni.status["iq_len"] == 0
+
+    def test_empty_input_parks_nothing(self):
+        assert make_ni().park_input() == []
+
+    def test_reports_each_drain_to_the_probe(self):
+        from repro.obs.probe import Probe
+
+        class Drains(Probe):
+            def __init__(self):
+                self.seen = []
+
+            def on_drain(self, message, ts):
+                self.seen.append((message.word(1), ts))
+
+        ni = make_ni()
+        probe = Drains()
+        ni.attach_probe(probe, clock=lambda: 7)
+        for word in (1, 2):
+            ni.deliver(request(words=(word, 0, 0, 0)))
+        ni.park_input()
+        assert probe.seen == [(1, 7), (2, 7)]

@@ -355,7 +355,7 @@ class TestTenancyLineage:
         for name in ("gang", "round-robin"):
             observed = MultiTenantRun(name, tenants, **kwargs)
             tracker = LineageTracker(origin=name)
-            observed.fabric.attach_lineage(tracker)
+            observed.fabric.attach_probe(tracker)
             plain = MultiTenantRun(name, tenants, **kwargs)
             observed.run()
             plain.run()
