@@ -100,6 +100,10 @@ class Router:
             for vc in range(num_vcs)
         }
         self.injection: Deque[InTransit] = deque()
+        # Messages held across every buffer.  Only accept_from, inject
+        # and take add or remove messages, and each keeps the count, so
+        # occupancy never re-sums the buffers.
+        self.occupancy = 0
         self.stats = RouterStats()
 
     def _buffer_key(self, neighbor: int, vc: int) -> Tuple[int, int]:
@@ -145,11 +149,13 @@ class Router:
             )
         item.hops += 1
         self.in_buffers[(neighbor, vc)].append(item)
+        self.occupancy += 1
 
     def inject(self, item: InTransit) -> None:
         if not self.can_inject():
             raise NetworkError(f"router {self.node}: injection buffer full")
         self.injection.append(item)
+        self.occupancy += 1
         self.stats.injected += 1
 
     def pending_sources(self) -> List[SourceKey]:
@@ -183,11 +189,8 @@ class Router:
         buffer = self._buffer(source)
         if not buffer:
             raise NetworkError(f"router {self.node}: buffer {source} is empty")
+        self.occupancy -= 1
         return buffer.popleft()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.injection) + sum(len(b) for b in self.in_buffers.values())
 
     def is_idle(self) -> bool:
         return self.occupancy == 0

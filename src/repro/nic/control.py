@@ -13,8 +13,9 @@ and writes fields through these layouts, never raw bit positions.
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
-from repro.utils.bitfield import BitField, BitLayout, Register
+from repro.utils.bitfield import WORD_MASK, BitField, BitLayout, Register
 
 QUEUE_LEN_BITS = 5
 """Width of the queue-occupancy fields; supports depths up to 31."""
@@ -64,6 +65,24 @@ STATUS_LAYOUT = BitLayout(
     ],
 )
 
+HARDWARE_STATUS_FIELDS = ("msg_valid", "msg_type", "iq_len", "oq_len", "iafull", "oafull")
+"""The STATUS fields the interface recomputes on every state change
+(:meth:`StatusRegister.refresh`).  The exception bits are not among
+them: they are raised by their own events and cleared by software."""
+
+# Shifts for refresh's one-word pack, taken from the layout once.
+_MSG_VALID_BIT = 1 << STATUS_LAYOUT.field("msg_valid").shift
+_MSG_TYPE_SHIFT = STATUS_LAYOUT.field("msg_type").shift
+_IQ_LEN_SHIFT = STATUS_LAYOUT.field("iq_len").shift
+_OQ_LEN_SHIFT = STATUS_LAYOUT.field("oq_len").shift
+_IAFULL_BIT = 1 << STATUS_LAYOUT.field("iafull").shift
+_OAFULL_BIT = 1 << STATUS_LAYOUT.field("oafull").shift
+_QUEUE_LEN_MAX = (1 << QUEUE_LEN_BITS) - 1
+#: Every STATUS bit a refresh leaves alone (the exception bits).
+_REFRESH_KEEP_MASK = WORD_MASK & ~sum(
+    STATUS_LAYOUT.field(name).field_mask for name in HARDWARE_STATUS_FIELDS
+)
+
 CONTROL_LAYOUT = BitLayout(
     "CONTROL",
     [
@@ -95,6 +114,31 @@ class StatusRegister(Register):
 
     def __init__(self) -> None:
         super().__init__(STATUS_LAYOUT)
+
+    def refresh(
+        self,
+        msg_type: Optional[int],
+        iq_len: int,
+        oq_len: int,
+        iafull: bool,
+        oafull: bool,
+    ) -> None:
+        """Rewrite the six hardware-maintained fields in one store.
+
+        ``msg_type`` is the type of the message in the input registers,
+        ``None`` when they are empty (``msg_valid`` follows it); queue
+        lengths saturate at the field width.  Exception bits are kept.
+        """
+        word = self._word & _REFRESH_KEEP_MASK
+        if msg_type is not None:
+            word |= _MSG_VALID_BIT | msg_type << _MSG_TYPE_SHIFT
+        word |= min(iq_len, _QUEUE_LEN_MAX) << _IQ_LEN_SHIFT
+        word |= min(oq_len, _QUEUE_LEN_MAX) << _OQ_LEN_SHIFT
+        if iafull:
+            word |= _IAFULL_BIT
+        if oafull:
+            word |= _OAFULL_BIT
+        self._word = word
 
     def raise_exception(self, name: str) -> None:
         """Set one exception bit and the summary bit."""

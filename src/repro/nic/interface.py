@@ -553,18 +553,18 @@ class NetworkInterface:
 
     def _refresh_status(self) -> None:
         """Recompute the hardware-maintained STATUS fields."""
-        self.input_queue.set_threshold(self.control["iq_threshold"])
-        self.output_queue.set_threshold(self.control["oq_threshold"])
-        self.status["msg_valid"] = 1 if self._current is not None else 0
-        self.status["msg_type"] = self._current.mtype if self._current else 0
-        self.status["iq_len"] = min(
-            self.input_queue.depth, (1 << 5) - 1
+        iq = self.input_queue
+        oq = self.output_queue
+        iq.set_threshold(self.control["iq_threshold"])
+        oq.set_threshold(self.control["oq_threshold"])
+        current = self._current
+        self.status.refresh(
+            current.mtype if current is not None else None,
+            iq.depth,
+            oq.depth,
+            iq.almost_full,
+            oq.almost_full,
         )
-        self.status["oq_len"] = min(
-            self.output_queue.depth, (1 << 5) - 1
-        )
-        self.status["iafull"] = 1 if self.input_queue.almost_full else 0
-        self.status["oafull"] = 1 if self.output_queue.almost_full else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,7 +18,7 @@ proposed optimizations.  This module implements both:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.errors import ProtectionError
 from repro.nic.interface import NetworkInterface
@@ -174,6 +174,8 @@ class GangScheduler:
             raise ProtectionError("gang scheduler needs at least one interface")
         self.interfaces = interfaces
         self.active_pin: Optional[int] = None
+        # Per-process saved state, one batch per interface; a process
+        # has an entry only while at least one batch is non-empty.
         self._saved: Dict[int, List[List[Message]]] = {}
 
     def start_slice(self, pin: int) -> None:
@@ -222,7 +224,8 @@ class GangScheduler:
             if refiled is not None:
                 drained.extend(refiled[index])
             saved.append(drained)
-        self._saved[self.active_pin] = saved
+        if any(saved):
+            self._saved[self.active_pin] = saved
         self.active_pin = None
 
     def refill(self) -> int:
@@ -251,6 +254,10 @@ class GangScheduler:
         if any(leftover):
             self._saved[self.active_pin] = leftover
         return delivered
+
+    def saved_pins(self) -> Collection[int]:
+        """The processes with parked messages (a live view)."""
+        return self._saved.keys()
 
     def saved_message_count(self, pin: int) -> int:
         """How many messages are parked for process ``pin``."""

@@ -40,7 +40,8 @@ The three policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Collection, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ProtectionError
 from repro.nic.interface import DIVERT_CAP, NetworkInterface
@@ -79,7 +80,14 @@ class SwitchCosts:
 
 
 class _NodeState:
-    """One node's tenancy state under an independent policy."""
+    """One node's tenancy state under an independent policy.
+
+    ``store.by_pin`` holds a key exactly for each PIN with stored
+    messages at this node: ``file`` only appends, ``file_front`` returns
+    early on an empty list and ``take_for`` pops the key.  The per-node
+    decisions choose among those keys, so they cost O(backlogged PINs at
+    the node), never O(tenants).
+    """
 
     __slots__ = (
         "index",
@@ -111,6 +119,10 @@ class TenantPolicy(SimComponent):
     Subclasses implement :meth:`tick` (the scheduling decision) and may
     override :meth:`may_inject` (gang gates injection; the independent
     policies accept traffic for any tenant at any time).
+
+    Rotation order is the order of ``tenants``: a policy that rotates
+    picks, among the PINs that have work, the one at the smallest cyclic
+    offset from its rotation pointer (:meth:`_next_in_rotation`).
     """
 
     name = "tenancy"
@@ -129,7 +141,12 @@ class TenantPolicy(SimComponent):
         self.tenants: List[int] = [check_pin(pin) for pin in tenants]
         if len(set(self.tenants)) != len(self.tenants):
             raise ProtectionError("tenant PINs must be unique")
+        self._position: Dict[int, int] = {
+            pin: index for index, pin in enumerate(self.tenants)
+        }
         self.costs = costs or SwitchCosts()
+        # The workload's backlogged tenants (see watch_backlog).
+        self.backlog: Collection[int] = ()
         self.states: List[_NodeState] = [
             _NodeState(index, interface)
             for index, interface in enumerate(interfaces)
@@ -191,6 +208,17 @@ class TenantPolicy(SimComponent):
         self.handle = kernel.register(self)
         return self.handle
 
+    def watch_backlog(self, backlog: Collection[int]) -> None:
+        """Hand over the workload's live collection of backlogged tenants.
+
+        ``backlog`` must contain exactly the PINs with generated but not
+        yet injected arrivals, kept current by the workload (the pump's
+        per-tenant queue mapping adds a PIN on its first arrival and
+        deletes it once drained).  Gang counts those PINs as having work;
+        the independent policies see only what reaches their nodes.
+        """
+        self.backlog = backlog
+
     def stalled(self, node: int, cycle: int) -> bool:
         """Whether ``node`` is inside a context-switch window."""
         return cycle < self._by_node[node].busy_until
@@ -228,6 +256,30 @@ class TenantPolicy(SimComponent):
     # Internals shared by the concrete policies.
     # ------------------------------------------------------------------
 
+    def _next_in_rotation(
+        self, pins: Iterable[int], rotation: int, skip: int = 0
+    ) -> Optional[int]:
+        """The tenant in ``pins`` first reached cycling the PIN list from
+        index ``rotation``, or ``None`` when there is none.
+
+        ``skip`` (and any PIN that is not a tenant) is never chosen;
+        repeats in ``pins`` are harmless.  The cost is one pass over
+        ``pins``.
+        """
+        position = self._position
+        count = len(position)
+        best = None
+        best_offset = count
+        for pin in pins:
+            index = position.get(pin)
+            if index is None or pin == skip:
+                continue
+            offset = (index - rotation) % count
+            if offset < best_offset:
+                best = pin
+                best_offset = offset
+        return best
+
     def _redeliver(self, state: _NodeState, pin: int) -> int:
         """Move stored messages for ``pin`` back into the input queue.
 
@@ -235,7 +287,7 @@ class TenantPolicy(SimComponent):
         tenant reaches its occupancy cap; the untouched tail is refiled
         in order, so redelivery is always FIFO per tenant.
         """
-        if not state.store.pending_count(pin):
+        if pin not in state.store.by_pin:
             return 0
         ni = state.interface
         cap = ni.tenant_cap
@@ -328,17 +380,13 @@ class RoundRobinScheduler(TenantPolicy):
         self.handle.wake_at(cycle + self.quantum)
 
     def _rotate(self, state: _NodeState, cycle: int) -> None:
-        tenants = self.tenants
-        count = len(tenants)
-        for offset in range(count):
-            index = (state.rotation + offset) % count
-            pin = tenants[index]
-            if pin == state.active_pin:
-                continue
-            if state.store.pending_count(pin):
-                state.rotation = (index + 1) % count
-                self._switch_to(state, pin, cycle)
-                return
+        pin = self._next_in_rotation(
+            state.store.by_pin, state.rotation, skip=state.active_pin
+        )
+        if pin is not None:
+            state.rotation = (self._position[pin] + 1) % len(self.tenants)
+            self._switch_to(state, pin, cycle)
+            return
         # Nobody else is waiting: keep the resident tenant and let any
         # of its cap-diverted overflow back into the freed queue slots.
         if state.active_pin:
@@ -403,10 +451,12 @@ class QuantumScheduler(TenantPolicy):
         return state.store.pending_count(pin) > 0
 
     def _consider(self, state: _NodeState, cycle: int) -> None:
+        active = state.active_pin
+        position = self._position
         waiting = [
             pin
-            for pin in self.tenants
-            if pin != state.active_pin and state.store.pending_count(pin)
+            for pin in state.store.by_pin
+            if pin != active and pin in position
         ]
         if not waiting:
             if state.active_pin:
@@ -414,6 +464,7 @@ class QuantumScheduler(TenantPolicy):
             return
         expired = cycle - state.slice_start >= self.quantum
         if expired or not self._resident_busy(state):
+            # The key is unique per PIN, so the store's order is moot.
             deepest = max(
                 waiting, key=lambda pin: (state.store.pending_count(pin), -pin)
             )
@@ -432,7 +483,7 @@ class GangTenantScheduler(TenantPolicy):
     networks cannot deliver a stale tenant's message.
 
     The slice rotation is work-conserving: only tenants with pending
-    work (workload backlog via :meth:`set_backlog_fn`, saved network
+    work (workload backlog via :meth:`watch_backlog`, saved network
     state, or cap-diverted store entries) receive slices, and a slice
     ends early once its tenant goes quiet for ``min_slice`` cycles'
     worth of inspection.  The context-switch cost is charged globally:
@@ -470,7 +521,6 @@ class GangTenantScheduler(TenantPolicy):
             if min_slice is not None
             else self.costs.switch_cycles + 4
         )
-        self.backlog_fn: Callable[[int], int] = lambda pin: 0
         self.phase = self.IDLE
         self.active_pin: Optional[int] = None
         self._pending_pin: Optional[int] = None
@@ -480,10 +530,6 @@ class GangTenantScheduler(TenantPolicy):
         self.slices = 0
         for state in self.states:
             state.interface.control["pin_check"] = 0
-
-    def set_backlog_fn(self, fn: Callable[[int], int]) -> None:
-        """Install the workload's not-yet-injected-arrivals counter."""
-        self.backlog_fn = fn
 
     # ------------------------------------------------------------------
     # Workload contract overrides: gang decisions are global.
@@ -506,13 +552,12 @@ class GangTenantScheduler(TenantPolicy):
         return (
             self.phase == self.IDLE
             and self.stored_messages() == 0
-            and all(
-                self.gang.saved_message_count(pin) == 0 for pin in self.tenants
-            )
+            and not self.gang.saved_pins()
         )
 
     def snapshot(self) -> Dict[str, object]:
-        saved = sum(self.gang.saved_message_count(pin) for pin in self.tenants)
+        gang = self.gang
+        saved = sum(gang.saved_message_count(pin) for pin in gang.saved_pins())
         return {
             "phase": self.phase,
             "active_pin": self.active_pin,
@@ -524,11 +569,6 @@ class GangTenantScheduler(TenantPolicy):
     # ------------------------------------------------------------------
     # The slice state machine.
     # ------------------------------------------------------------------
-
-    def _has_work(self, pin: int) -> bool:
-        if self.backlog_fn(pin) or self.gang.saved_message_count(pin):
-            return True
-        return any(state.store.pending_count(pin) for state in self.states)
 
     def _interfaces_quiet(self) -> bool:
         return all(
@@ -549,17 +589,18 @@ class GangTenantScheduler(TenantPolicy):
             pin = self.active_pin
             # Mid-slice refills: saved-state overflow refiled by
             # start_slice, and cap-diverted store entries.
-            if self.gang.saved_message_count(pin):
+            if pin in self.gang.saved_pins():
                 self.redelivered += self.gang.refill()
+            stored = False
             for state in self.states:
                 self._redeliver(state, pin)
+                if pin in state.store.by_pin:
+                    stored = True
             elapsed = cycle - self.slice_start
             quiet = (
-                not self.backlog_fn(pin)
-                and not self.gang.saved_message_count(pin)
-                and not any(
-                    state.store.pending_count(pin) for state in self.states
-                )
+                pin not in self.backlog
+                and pin not in self.gang.saved_pins()
+                and not stored
                 and self._interfaces_quiet()
                 and self._network_quiet()
             )
@@ -581,18 +622,21 @@ class GangTenantScheduler(TenantPolicy):
             self._choose_next(cycle)
 
     def _choose_next(self, cycle: int) -> None:
-        tenants = self.tenants
-        count = len(tenants)
-        for offset in range(count):
-            index = (self.rotation + offset) % count
-            pin = tenants[index]
-            if self._has_work(pin):
-                self.rotation = (index + 1) % count
-                self._pending_pin = pin
-                self.phase = self.SWITCHING
-                self.switch_done = cycle + self.costs.switch_cycles
-                self.switches += 1
-                return
+        # A tenant has work when the workload holds its arrivals, the
+        # gang engine holds its saved state, or a store holds its diverts.
+        candidates = chain(
+            self.backlog,
+            self.gang.saved_pins(),
+            *(state.store.by_pin for state in self.states),
+        )
+        pin = self._next_in_rotation(candidates, self.rotation)
+        if pin is None:
+            return
+        self.rotation = (self._position[pin] + 1) % len(self.tenants)
+        self._pending_pin = pin
+        self.phase = self.SWITCHING
+        self.switch_done = cycle + self.costs.switch_cycles
+        self.switches += 1
 
     def _begin_slice(self, cycle: int) -> None:
         pin = self._pending_pin

@@ -244,8 +244,9 @@ class _ArrivalPump(SimComponent):
     Due arrivals enter per-tenant backlogs; each tick the pump asks the
     scheduler which backlogged tenants may inject (gang admits only the
     slice owner) and drains those backlogs through the source nodes'
-    output registers until a SEND stalls.  The backlog depth doubles as
-    the gang policy's workload-side work signal.
+    output registers until a SEND stalls.  ``blocked`` holds a queue
+    exactly for each tenant with a backlog; its keys are the gang
+    policy's workload-side work signal (:meth:`TenantPolicy.watch_backlog`).
     """
 
     name = "pump"
@@ -266,11 +267,6 @@ class _ArrivalPump(SimComponent):
         self.injected = 0
         self.injected_by_pin: Dict[int, int] = {}
         self.handle = None
-
-    def backlog(self, pin: int) -> int:
-        """Generated-but-not-yet-injected messages for ``pin``."""
-        queue = self.blocked.get(pin)
-        return len(queue) if queue is not None else 0
 
     def first_cycle(self) -> int:
         return self.schedule[0].cycle if self.schedule else 1
@@ -450,8 +446,7 @@ class MultiTenantRun:
         self.pump.handle = self.kernel.register(self.pump)
         self.pump.handle.wake_at(self.pump.first_cycle())
         self.scheduler.bind(self.kernel)
-        if hasattr(self.scheduler, "set_backlog_fn"):
-            self.scheduler.set_backlog_fn(self.pump.backlog)
+        self.scheduler.watch_backlog(self.pump.blocked)
         self.servers = [
             _NodeServer(self, node, service_interval)
             for node in range(topology.n_nodes)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.fabric import Fabric
+from repro.network.routing import EscapeVC
 from repro.network.topology import Hypercube, Mesh2D, Torus2D
 from repro.nic.messages import pack_destination
 
@@ -29,6 +30,17 @@ def traffic(draw):
     return topology, sends
 
 
+def assert_occupancy_counters(fabric):
+    """Every router's held-message counter matches its buffers, and
+    ``in_flight`` is their sum."""
+    total = 0
+    for router in fabric.routers:
+        held = len(router.injection) + sum(len(b) for b in router.in_buffers.values())
+        assert router.occupancy == held
+        total += held
+    assert fabric.in_flight() == total
+
+
 class TestConservation:
     @settings(max_examples=60, deadline=None)
     @given(data=traffic())
@@ -46,6 +58,7 @@ class TestConservation:
         received = []
         for _ in range(5000):
             fabric.step()
+            assert_occupancy_counters(fabric)
             for node in range(topology.n_nodes):
                 ni = fabric.interface(node)
                 while ni.msg_valid:
@@ -71,6 +84,7 @@ class TestConservation:
             expected_hops += topology.distance(source, dest)
         for _ in range(5000):
             fabric.step()
+            assert_occupancy_counters(fabric)
             for node in range(topology.n_nodes):
                 ni = fabric.interface(node)
                 while ni.msg_valid:
@@ -79,3 +93,32 @@ class TestConservation:
                 break
         assert fabric.stats.delivered == len(sends)
         assert fabric.stats.total_hops == expected_hops
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=traffic(), stalled=st.integers(min_value=0, max_value=40))
+    def test_occupancy_counters_under_backpressure(self, data, stalled):
+        """Receivers stall for a while, so buffers fill and moves block;
+        escape routing puts several virtual channels on every link."""
+        topology, sends = data
+        fabric = Fabric(
+            topology,
+            link_buffer_depth=1,
+            serialization_cycles=1,
+            routing=EscapeVC(seed=3),
+        )
+        for source, dest in sends:
+            ni = fabric.interface(source)
+            ni.write_output(0, pack_destination(dest))
+            ni.send(2)
+        for cycle in range(5000):
+            fabric.step()
+            assert_occupancy_counters(fabric)
+            if cycle >= stalled:
+                for node in range(topology.n_nodes):
+                    ni = fabric.interface(node)
+                    while ni.msg_valid:
+                        ni.next()
+            if fabric.pending() == 0 and fabric.stats.delivered == len(sends):
+                break
+        assert fabric.stats.delivered == len(sends)
+        assert all(router.occupancy == 0 for router in fabric.routers)

@@ -14,9 +14,28 @@ from repro.nic.messages import Message, pack_destination
 
 CAPACITY = 4
 
+#: Almost-full thresholds below CAPACITY, so iafull/oafull toggle.
+THRESHOLD = 2
+
+EXCEPTION_NAMES = (
+    "exc_input_error",
+    "exc_output_overflow",
+    "exc_pin_mismatch",
+    "exc_privileged",
+)
+
 
 def msg(tag: int) -> Message:
     return Message(2, (pack_destination(0), tag, 0, 0, 0))
+
+
+def mtype_of(tag: int) -> int:
+    """A tag's message type for the STATUS checks: any of 2..15."""
+    return 2 + tag % 14
+
+
+def typed_msg(tag: int) -> Message:
+    return Message(mtype_of(tag), (pack_destination(0), tag, 0, 0, 0))
 
 
 operations = st.lists(
@@ -60,16 +79,31 @@ class Reference:
         return self.output.pop(0) if self.output else None
 
 
+def apply(ni: NetworkInterface, op: str, tag: int) -> None:
+    """One operation, outcome ignored."""
+    if op == "deliver":
+        ni.deliver(typed_msg(tag))
+    elif op == "next":
+        ni.next()
+    elif op == "send":
+        ni.write_output(1, tag)
+        ni.send(2)
+    else:
+        ni.transmit()
+
+
 class TestAgainstReference:
     @settings(max_examples=200)
     @given(ops=operations)
     def test_visible_state_always_agrees(self, ops):
         ni = NetworkInterface(input_capacity=CAPACITY, output_capacity=CAPACITY)
+        ni.control["iq_threshold"] = THRESHOLD
+        ni.control["oq_threshold"] = THRESHOLD
         ref = Reference()
         delivered = sent = consumed = transmitted = 0
         for op, tag in ops:
             if op == "deliver":
-                accepted = ni.deliver(msg(tag))
+                accepted = ni.deliver(typed_msg(tag))
                 assert accepted == ref.deliver(tag)
                 delivered += int(accepted)
             elif op == "next":
@@ -97,8 +131,14 @@ class TestAgainstReference:
             assert ni.input_queue.depth == len(ref.input)
             assert ni.output_queue.depth == len(ref.output)
             assert ni.status["msg_valid"] == int(ref.current is not None)
+            assert ni.status["msg_type"] == (
+                mtype_of(ref.current) if ref.current is not None else 0
+            )
             assert ni.status["iq_len"] == len(ref.input)
             assert ni.status["oq_len"] == len(ref.output)
+            assert ni.status["iafull"] == int(len(ref.input) > THRESHOLD)
+            assert ni.status["oafull"] == int(len(ref.output) > THRESHOLD)
+            assert ni.status.pending_exceptions() == ()
         # Conservation: everything delivered is either consumed, current,
         # or still queued; everything sent is transmitted or queued.
         in_flight = (1 if ref.current is not None else 0) + len(ref.input)
@@ -140,3 +180,23 @@ class TestAgainstReference:
                 assert handler == 0
             assert iafull == ni.input_queue.almost_full
             assert oafull == ni.output_queue.almost_full
+
+    @settings(max_examples=100)
+    @given(
+        name=st.sampled_from(EXCEPTION_NAMES),
+        ops=operations.filter(bool),
+    )
+    def test_exception_bits_survive_status_refresh(self, name, ops):
+        """Refreshing the hardware fields never clears a raised exception."""
+        ni = NetworkInterface(input_capacity=CAPACITY, output_capacity=CAPACITY)
+        ni.status.raise_exception(name)
+        for op, tag in ops:
+            apply(ni, op, tag)
+            assert name in ni.status.pending_exceptions()
+            assert ni.status.has_exception
+            assert ni.status["msg_valid"] == int(ni.msg_valid)
+            assert ni.status["iq_len"] == ni.input_queue.depth
+            assert ni.status["oq_len"] == ni.output_queue.depth
+        ni.status.clear_exceptions()
+        assert ni.status.pending_exceptions() == ()
+        assert ni.status["iq_len"] == ni.input_queue.depth

@@ -159,6 +159,20 @@ class TestGangScheduler:
         assert not nis[0].msg_valid
         assert nis[0].input_queue.is_empty
         assert sched.saved_message_count(1) == 2
+        assert list(sched.saved_pins()) == [1]
+
+    def test_saved_pins_track_parked_state_only(self):
+        nis = [NetworkInterface(node=n) for n in range(2)]
+        sched = GangScheduler(nis)
+        sched.start_slice(2)
+        sched.end_slice()  # nothing left behind: nothing saved
+        assert list(sched.saved_pins()) == []
+        sched.start_slice(1)
+        nis[1].deliver(msg(pin=1, tag=5))
+        sched.end_slice()
+        assert list(sched.saved_pins()) == [1]
+        sched.start_slice(1)  # restored in full
+        assert list(sched.saved_pins()) == []
 
     def test_restore_on_next_slice(self):
         nis = [NetworkInterface(node=n) for n in range(1)]

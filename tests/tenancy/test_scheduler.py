@@ -1,6 +1,8 @@
 """Tests for the receive-side tenant scheduling policies."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ProtectionError
 from repro.nic.interface import NetworkInterface
@@ -228,7 +230,7 @@ class TestGang:
     def test_slice_gates_injection_to_owner(self):
         nis, scheduler = self.make()
         backlog = {1: 5}
-        scheduler.set_backlog_fn(lambda pin: backlog.get(pin, 0))
+        scheduler.watch_backlog(backlog)
         scheduler.tick(0)
         assert scheduler.phase == scheduler.SWITCHING
         assert scheduler.stalled(0, 1)  # global switch window
@@ -244,7 +246,7 @@ class TestGang:
     def test_slice_end_saves_undispatched_state(self):
         nis, scheduler = self.make()
         backlog = {1: 1}
-        scheduler.set_backlog_fn(lambda pin: backlog.get(pin, 0))
+        scheduler.watch_backlog(backlog)
         scheduler.tick(0)
         scheduler.tick(2)
         assert scheduler.phase == scheduler.ACTIVE
@@ -261,7 +263,7 @@ class TestGang:
     def test_quiet_slice_ends_early(self):
         nis, scheduler = self.make()
         backlog = {1: 1}
-        scheduler.set_backlog_fn(lambda pin: backlog.get(pin, 0))
+        scheduler.watch_backlog(backlog)
         scheduler.tick(0)
         scheduler.tick(2)
         backlog.clear()  # nothing injected, interfaces and network quiet
@@ -271,3 +273,165 @@ class TestGang:
     def test_invalid_slice_length(self):
         with pytest.raises(ProtectionError):
             GangTenantScheduler(make_ifaces(), [1], slice_cycles=0)
+
+
+# ----------------------------------------------------------------------
+# Selection equivalence: the policies consult only PINs that have work;
+# a brute-force scan over every tenant must pick the same one.
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def selection_cases(draw):
+    """Tenants in a random rotation order, per-node stores with ties and
+    empty nodes, a rotation pointer and a resident PIN per node (often
+    one with its own backlog), plus gang's backlog and saved pins."""
+    tenants = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=40),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    n_nodes = draw(st.integers(min_value=1, max_value=3))
+    count = st.integers(min_value=0, max_value=2)  # 0: nothing stored
+    stores = [
+        {pin: draw(count) for pin in tenants} for _ in range(n_nodes)
+    ]
+    rotations = [
+        draw(st.integers(min_value=0, max_value=len(tenants) - 1))
+        for _ in range(n_nodes)
+    ]
+    actives = [draw(st.sampled_from([0] + tenants)) for _ in range(n_nodes)]
+    subset = st.lists(st.sampled_from(tenants), unique=True)
+    return {
+        "tenants": tenants,
+        "stores": stores,
+        "rotations": rotations,
+        "actives": actives,
+        "backlog": draw(subset),
+        "saved": draw(subset),
+        "gang_rotation": draw(
+            st.integers(min_value=0, max_value=len(tenants) - 1)
+        ),
+    }
+
+
+def brute_rotation(tenants, has_work, rotation, skip=0):
+    """Scan every tenant cyclically from ``rotation``: (pin, new pointer)."""
+    for offset in range(len(tenants)):
+        index = (rotation + offset) % len(tenants)
+        pin = tenants[index]
+        if pin != skip and has_work(pin):
+            return pin, (index + 1) % len(tenants)
+    return None
+
+
+def brute_deepest(tenants, store, active):
+    """Deepest stored backlog among non-resident tenants, lowest PIN on ties."""
+    waiting = [pin for pin in tenants if pin != active and store[pin]]
+    if not waiting:
+        return None
+    return max(waiting, key=lambda pin: (store[pin], -pin))
+
+
+def fill_independent(policy, case):
+    """Stores, rotation pointers and residents as the case draws them."""
+    scheduler = policy(
+        make_ifaces(len(case["stores"])),
+        case["tenants"],
+        quantum=10,
+        costs=SwitchCosts(0, 0),
+    )
+    for state, store, rotation, active in zip(
+        scheduler.states, case["stores"], case["rotations"], case["actives"]
+    ):
+        for pin, depth in store.items():
+            for tag in range(depth):
+                state.store.file(msg(pin=pin, tag=tag))
+        state.rotation = rotation
+        state.active_pin = active
+    return scheduler
+
+
+EDGE_CASE = {
+    # A tie at depth 2 (pins 5 and 3), a resident (5) with its own
+    # backlog, an empty second store, and a rotation pointer that must
+    # wrap past the end of the PIN list.
+    "tenants": [7, 5, 3],
+    "stores": [{7: 1, 5: 2, 3: 2}, {7: 0, 5: 0, 3: 0}],
+    "rotations": [2, 1],
+    "actives": [5, 0],
+    "backlog": [],
+    "saved": [],
+    "gang_rotation": 2,
+}
+
+
+class TestSelectionMatchesFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(case=selection_cases())
+    @example(case=EDGE_CASE)
+    def test_round_robin(self, case):
+        scheduler = fill_independent(RoundRobinScheduler, case)
+        tenants = case["tenants"]
+        for state, store in zip(scheduler.states, case["stores"]):
+            before = (state.active_pin, state.rotation)
+            expected = brute_rotation(
+                tenants, lambda pin: store[pin], state.rotation, skip=state.active_pin
+            )
+            scheduler._rotate(state, 10)
+            if expected is None:
+                assert (state.active_pin, state.rotation) == before
+            else:
+                assert (state.active_pin, state.rotation) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=selection_cases())
+    @example(case=EDGE_CASE)
+    def test_quantum(self, case):
+        scheduler = fill_independent(QuantumScheduler, case)
+        tenants = case["tenants"]
+        for state, store in zip(scheduler.states, case["stores"]):
+            before = state.active_pin
+            expected = brute_deepest(tenants, store, state.active_pin)
+            # The resident's quantum has expired: any waiting tenant wins.
+            scheduler._consider(state, scheduler.quantum)
+            assert state.active_pin == (before if expected is None else expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=selection_cases())
+    @example(case=EDGE_CASE)
+    def test_gang(self, case):
+        tenants = case["tenants"]
+        nis = make_ifaces(len(case["stores"]))
+        scheduler = GangTenantScheduler(nis, tenants, costs=SwitchCosts(0, 0))
+        backlog = set(case["backlog"])
+        scheduler.watch_backlog(backlog)
+        for pin in case["saved"]:
+            # A slice that ends with an undispatched message saves it.
+            scheduler.gang.start_slice(pin)
+            nis[0].deliver(msg(pin=pin))
+            scheduler.gang.end_slice()
+        for state, store in zip(scheduler.states, case["stores"]):
+            for pin, depth in store.items():
+                for tag in range(depth):
+                    state.store.file(msg(pin=pin, tag=tag))
+        scheduler.rotation = case["gang_rotation"]
+
+        def has_work(pin):
+            return (
+                pin in backlog
+                or scheduler.gang.saved_message_count(pin) > 0
+                or any(store[pin] for store in case["stores"])
+            )
+
+        expected = brute_rotation(tenants, has_work, scheduler.rotation)
+        scheduler._choose_next(0)
+        if expected is None:
+            assert scheduler.phase == scheduler.IDLE
+            assert scheduler.rotation == case["gang_rotation"]
+        else:
+            assert scheduler.phase == scheduler.SWITCHING
+            assert (scheduler._pending_pin, scheduler.rotation) == expected
