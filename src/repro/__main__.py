@@ -15,7 +15,7 @@ Options::
     python -m repro --only figure12   # a subset of sections
     python -m repro --jobs 4          # fan sections out across processes
     python -m repro --json-dir out/   # artifact directory (default results/)
-    python -m repro --profile         # print timing spans and counters
+    python -m repro --profile         # host seconds per section and TAM program
     python -m repro --profile-sim     # in-run per-component cycle attribution
     python -m repro --trace           # record message-path traces
     python -m repro --trace-dir t/    # trace artifact directory (implies --trace)
@@ -31,9 +31,8 @@ from pathlib import Path
 
 from repro.exp import registry
 from repro.exp.artifacts import write_artifact
-from repro.exp.runner import iter_experiments, record_outcomes
+from repro.exp.runner import iter_experiments, profile_report, record_outcomes
 from repro.exp.spec import EvalOptions
-from repro.utils.profiling import PROFILER
 
 
 def main(argv=None) -> int:
@@ -55,7 +54,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="time each section and the TAM runtime; print a report at the end",
+        help=(
+            "time each section and each TAM program run; print a report "
+            "at the end"
+        ),
     )
     parser.add_argument(
         "--profile-sim",
@@ -152,9 +154,6 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
 
-    if args.profile:
-        PROFILER.enable()
-
     selected = [
         name
         for name in section_names
@@ -195,7 +194,16 @@ def main(argv=None) -> int:
 
     if args.profile:
         print()
-        print(PROFILER.report())
+        print(
+            profile_report(
+                {outcome.name: outcome.wall_clock_seconds for outcome in finished},
+                {
+                    key: seconds
+                    for outcome in finished
+                    for key, seconds in outcome.program_seconds.items()
+                },
+            )
+        )
 
     return 0
 

@@ -31,8 +31,9 @@ class EvalOptions:
 
     ``profile_sim`` opts sections that support it into simulation-level
     profiling (:mod:`repro.obs.profiler`): per-component cycle/time
-    attribution inside the run, reported next to the section text.  This
-    is distinct from the driver's ``--profile`` host-level span timing.
+    attribution inside the run, reported next to the section text.  The
+    driver's ``--profile`` renders host seconds per whole section and
+    program run with the same profiler, outside any section.
 
     ``lineage`` opts sections that support it into span-based causal
     lineage tracing (:mod:`repro.obs.lineage`): per-message phase spans,

@@ -22,8 +22,8 @@ makes runs reproducible bit for bit:
   custom predicate observes individual cycles, the kernel fast-forwards
   straight to the next timed wake instead of spinning through idle
   cycles.  Cycle counts, stop conditions, and stall diagnostics are
-  unchanged by the skip; ``SimKernel(fast_forward=False)`` restores the
-  literal cycle-by-cycle loop.
+  unchanged by the skip; a no-op cycle hook gives the literal
+  cycle-by-cycle loop.
 * **Stop conditions** — a run ends when every component reports
   :meth:`~repro.sim.component.SimComponent.quiescent` (the default), or
   when a caller-supplied predicate fires; if neither happens within
@@ -35,12 +35,13 @@ makes runs reproducible bit for bit:
   or tracing cadence attaches without the workload loop knowing.
 * **Profiling** — ``attach_profiler`` installs a
   :class:`~repro.obs.profiler.SimProfiler` that attributes serviced
-  ticks and wall-clock time per component.  The attachment is
-  identity-guarded like the tracer: with no profiler the kernel runs the
-  original loop unchanged (byte-identical behaviour, zero overhead) and
-  never writes a profiling attribute onto any component; with one, the
-  kernel switches to a separate instrumented loop with the same
-  execution semantics.
+  ticks and wall-clock time per component.  There is one loop: at run
+  start it binds one tick callable per component — the component's own
+  ``tick`` without a profiler (no clock read, no profiling attribute on
+  any component), a timing closure that charges the component's
+  attribution row with one.  Timed wakes are counted where they are
+  promoted, and tick sampling (``sample_interval``) runs as an internal
+  cycle hook, so like any hook it turns idle fast-forward off.
 
 Stop conditions are evaluated *before* each cycle, so a machine that is
 already quiescent runs zero cycles, and the returned cycle count is
@@ -57,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.errors import SimStallError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses sim types)
-    from repro.obs.profiler import SimProfiler
+    from repro.obs.profiler import ComponentProfile, SimProfiler
 
 
 @dataclass
@@ -116,7 +117,7 @@ class SimHandle:
 class SimKernel:
     """Deterministic cycle/quiescence engine for registered components."""
 
-    def __init__(self, fast_forward: bool = True) -> None:
+    def __init__(self) -> None:
         self.cycle = 0
         self._components: List[object] = []
         self._handles: List[SimHandle] = []
@@ -130,7 +131,6 @@ class SimKernel:
         # invalidated lazily against the dict when popped.
         self._timed: Dict[int, int] = {}
         self._timed_heap: List[Tuple[int, int]] = []
-        self._fast_forward = fast_forward
         self._hooks: List[Callable[[int], None]] = []
         self._profiler: Optional["SimProfiler"] = None
         self._running = False
@@ -209,20 +209,27 @@ class SimKernel:
             raise SimulationError("kernel has no registered components")
         awake = self._awake
         timed = self._timed
+        theap = self._timed_heap
         hooks = self._hooks
         n = len(components)
         start = self.cycle
+        ticks = [component.tick for component in components]
+        profiler = self._profiler
+        profiles = None
+        if profiler is not None:
+            profiles = profiler.bind_components([h.name for h in self._handles])
+            ticks = [_timed_tick(t, p) for t, p in zip(ticks, profiles)]
+            profiler.runs += 1
+            if profiler.sample_interval:
+                hooks = [*hooks, _sampler(profiler, start)]
+        # Idle cycles can only be fast-forwarded when nothing outside
+        # the kernel observes individual cycles: no custom stop
+        # predicate and no cycle hooks.  The jump lands exactly where
+        # the per-cycle loop would have woken someone (or at the cycle
+        # bound, so stall diagnostics are unchanged).
+        skip_idle = until is None and not hooks
         self._running = True
         try:
-            if self._profiler is not None:
-                return self._run_profiled(max_cycles, until, stall_error, label)
-            theap = self._timed_heap
-            # Idle cycles can only be fast-forwarded when nothing outside
-            # the kernel observes individual cycles: no custom stop
-            # predicate and no cycle hooks.  The jump lands exactly where
-            # the per-cycle loop would have woken someone (or at the
-            # cycle bound, so stall diagnostics are unchanged).
-            skip_idle = self._fast_forward and until is None and not hooks
             while True:
                 if until is not None:
                     if until():
@@ -237,6 +244,8 @@ class SimKernel:
                     if timed.get(i) == at:
                         del timed[i]
                         awake[i] = True
+                        if profiles is not None:
+                            profiles[i].timed_wakes += 1
                 i = awake.index(True)
                 if i == n and skip_idle:
                     # Nothing ticks this cycle; drop stale heap entries,
@@ -250,73 +259,16 @@ class SimKernel:
                         self.cycle = start + max_cycles
                     continue
                 while i != n:
-                    components[i].tick(cycle)
+                    ticks[i](cycle)
                     i = awake.index(True, i + 1)
                 for hook in hooks:
                     hook(cycle)
         finally:
             self._running = False
-
-    def _run_profiled(
-        self,
-        max_cycles: int,
-        until: Optional[Callable[[], bool]],
-        stall_error: Callable[[str], BaseException],
-        label: str,
-    ) -> SimResult:
-        """The instrumented twin of the :meth:`run` loop.
-
-        Execution semantics are identical — same stop conditions, same
-        timed-wake promotion, same scan order — with per-tick timing and
-        attribution added.  The determinism test pins the two loops to
-        byte-identical simulation results.
-        """
-        profiler = self._profiler
-        components = self._components
-        awake = self._awake
-        timed = self._timed
-        theap = self._timed_heap
-        hooks = self._hooks
-        n = len(components)
-        start = self.cycle
-        profiles = profiler.bind_components([h.name for h in self._handles])
-        interval = profiler.sample_interval
-        next_sample = start + interval
-        profiler.runs += 1
-        try:
-            while True:
-                if until is not None:
-                    if until():
-                        return SimResult(self.cycle - start, "predicate")
-                elif all(c.quiescent() for c in components):
-                    return SimResult(self.cycle - start, "quiescent")
-                if self.cycle - start >= max_cycles:
-                    raise stall_error(self._stall_report(label, max_cycles))
-                self.cycle = cycle = self.cycle + 1
-                while theap and theap[0][0] <= cycle:
-                    at, i = heappop(theap)
-                    if timed.get(i) == at:
-                        del timed[i]
-                        awake[i] = True
-                        profiles[i].timed_wakes += 1
-                i = awake.index(True)
-                while i != n:
-                    t0 = perf_counter()
-                    components[i].tick(cycle)
-                    elapsed = perf_counter() - t0
-                    profile = profiles[i]
-                    profile.ticks += 1
-                    profile.seconds += elapsed
-                    i = awake.index(True, i + 1)
-                for hook in hooks:
-                    hook(cycle)
-                if interval and cycle >= next_sample:
-                    profiler.sample_now(cycle)
-                    next_sample = cycle + interval
-        finally:
-            profiler.cycles += self.cycle - start
-            if interval:
-                profiler.sample_now(self.cycle)
+            if profiler is not None:
+                profiler.cycles += self.cycle - start
+                if profiler.sample_interval:
+                    profiler.sample_now(self.cycle)
 
     # ------------------------------------------------------------------
     # Diagnostics.
@@ -339,3 +291,30 @@ class SimKernel:
             )
             lines.append(f"  - {handle.name} [{status}] {detail}".rstrip())
         return "\n".join(lines)
+
+
+def _timed_tick(tick: Callable[[int], None], profile: "ComponentProfile"):
+    """``tick`` wrapped to charge one serviced tick and its seconds."""
+
+    def timed_tick(cycle: int) -> None:
+        t0 = perf_counter()
+        tick(cycle)
+        elapsed = perf_counter() - t0
+        profile.ticks += 1
+        profile.seconds += elapsed
+
+    return timed_tick
+
+
+def _sampler(profiler: "SimProfiler", start: int) -> Callable[[int], None]:
+    """The cycle hook that snapshots cumulative ticks every interval."""
+    interval = profiler.sample_interval
+    next_sample = start + interval
+
+    def sample(cycle: int) -> None:
+        nonlocal next_sample
+        if cycle >= next_sample:
+            profiler.sample_now(cycle)
+            next_sample = cycle + interval
+
+    return sample

@@ -84,7 +84,6 @@ from repro.obs.probe import combine
 from repro.obs.tracer import Tracer
 from repro.sim.sweep import ActiveSweep, ReferenceSweep
 from repro.tam.stats import TamStats
-from repro.utils.profiling import PROFILER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import SimProfiler
@@ -368,14 +367,11 @@ class TamMachine:
         succeeds, one needing more raises before executing the excess
         turn.  Sweeps over idle nodes are not charged against it.
         """
-        with PROFILER.span("tam.run"):
-            if self._is_codegen:
-                turns = self._run_codegen(max_turns)
-            else:
-                turns = self._run_reference(max_turns)
+        if self._is_codegen:
+            turns = self._run_codegen(max_turns)
+        else:
+            turns = self._run_reference(max_turns)
         self.turns_executed += turns
-        PROFILER.add("tam.turns", turns)
-        PROFILER.add("tam.runs", 1)
         if self.profiler is not None:
             feed_profiler(self, self.profiler)
         self._check_quiescence()
@@ -395,7 +391,7 @@ class TamMachine:
         """
         do_one = self._do_one_unit
         if self.profiler is not None:
-            do_one = self._profiled_unit(do_one)
+            do_one = self._profiled(do_one)
         return self._reference_sched.run(
             self.nodes,
             has_work=lambda state: state.stack or state.inbox,
@@ -404,46 +400,25 @@ class TamMachine:
             stall=self._turn_stall(max_turns),
         )
 
-    def _node_profiles(self) -> List:
-        """One profiler attribution row per node (``tam.node<N>``)."""
-        track = self.profiler.track
-        return [track(f"tam.node{n}") for n in range(self.n_nodes)]
+    def _profiled(self, unit: Callable) -> Callable:
+        """Wrap a per-node turn callback with turn attribution.
 
-    def _profiled_unit(self, do_one: Callable) -> Callable:
-        """Wrap the reference path's unit callback with turn attribution.
-
-        Every ``do_one`` call is exactly one productive turn, so the
-        wrapper charges unconditionally.
+        Both backends call their callback (the reference ``do_one``,
+        codegen's observed ``service``) exactly once per productive
+        turn, so the wrapper charges every call to the node's
+        ``tam.node<N>`` row and passes the callback's result through.
         """
-        profiles = self._node_profiles()
+        track = self.profiler.track
+        profiles = [track(f"tam.node{n}") for n in range(self.n_nodes)]
 
-        def profiled(state: _NodeState) -> None:
+        def profiled(state: _NodeState):
             start = perf_counter()
-            do_one(state)
+            result = unit(state)
             elapsed = perf_counter() - start
             profile = profiles[state.node_id]
             profile.ticks += 1
             profile.seconds += elapsed
-
-        return profiled
-
-    def _profiled_service(self, service: Callable) -> Callable:
-        """Wrap the observed codegen service callback with turn attribution.
-
-        ``service`` returns ``None`` for a no-work scan (not a turn —
-        nothing is charged) and True/False after a productive turn.
-        """
-        profiles = self._node_profiles()
-
-        def profiled(state: _NodeState):
-            start = perf_counter()
-            more = service(state)
-            elapsed = perf_counter() - start
-            if more is not None:
-                profile = profiles[state.node_id]
-                profile.ticks += 1
-                profile.seconds += elapsed
-            return more
+            return result
 
         return profiled
 
@@ -760,7 +735,7 @@ class TamMachine:
             return True if (stack or state.inbox) else False
 
         if self.profiler is not None:
-            service = self._profiled_service(service)
+            service = self._profiled(service)
         nodes = self.nodes
         return self._sched.run(
             nodes,

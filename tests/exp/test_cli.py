@@ -149,3 +149,41 @@ class TestParallelEquivalence:
             for key in VOLATILE_KEYS:
                 a.pop(key), b.pop(key)
             assert a == b, f"{path.name} differs between serial and --jobs"
+
+
+class TestProfileReport:
+    SECTIONS = ("table1", "roundtrip", "figure12")
+
+    @staticmethod
+    def _report_rows(stdout):
+        """The row names of the ``--profile`` report at the end of a run."""
+        heading = "profile: host seconds per section and executed TAM program"
+        assert heading in stdout, "no --profile report printed"
+        report = stdout.split(heading, 1)[1]
+        return {
+            line.split()[0]
+            for line in report.splitlines()
+            if line.startswith(("section.", "program."))
+        }
+
+    def test_report_rows_match_across_jobs(self, tmp_path):
+        """Every selected section and every executed program gets a row,
+        whether the work ran in this process or in ``--jobs`` workers."""
+        registry.load_all()
+        expected = {f"section.{name}" for name in self.SECTIONS}
+        for name in self.SECTIONS:
+            spec = registry.get(name)
+            expected |= {
+                f"program.{key.program}-n{key.size}-p{key.nodes}"
+                for key in spec.required_programs(spec.params(EvalOptions()))
+            }
+        assert any(row.startswith("program.") for row in expected)
+        reports = []
+        for jobs in ("1", "2"):
+            result = _run_cli(
+                "--profile", "--jobs", jobs, "--only", *self.SECTIONS, "--no-json",
+                cwd=tmp_path,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.append(self._report_rows(result.stdout))
+        assert reports[0] == reports[1] == expected

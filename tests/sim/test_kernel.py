@@ -176,15 +176,17 @@ class TestTimedWakeTies:
     The timed-wake heap stores ``(cycle, index)`` events, so several
     components due on the same cycle pop in index order — exactly the
     order the awake-flag ``list.index`` scan would service them.  The
-    repeat run pins the order as deterministic, and the
-    ``fast_forward=False`` twin pins it equal to the literal
-    cycle-by-cycle loop's.
+    repeat run pins the order as deterministic, and the twin with a
+    no-op cycle hook (which turns idle fast-forward off) pins it equal
+    to the literal cycle-by-cycle loop's.
     """
 
     @staticmethod
-    def _run_tied(fast_forward):
+    def _run_tied(skip_idle):
         log = []
-        kernel = SimKernel(fast_forward=fast_forward)
+        kernel = SimKernel()
+        if not skip_idle:
+            kernel.add_cycle_hook(lambda cycle: None)
         components = [Recorder(f"c{i}", 1, log) for i in range(5)]
         handles = [kernel.register(c) for c in components]
         # Same due cycle for every component, scheduled in reverse so a
@@ -194,17 +196,72 @@ class TestTimedWakeTies:
         kernel.run()
         return log
 
-    @pytest.mark.parametrize("fast_forward", [True, False])
-    def test_same_cycle_wakes_tick_in_registration_order(self, fast_forward):
-        assert self._run_tied(fast_forward) == [
+    @pytest.mark.parametrize("skip_idle", [True, False])
+    def test_same_cycle_wakes_tick_in_registration_order(self, skip_idle):
+        assert self._run_tied(skip_idle) == [
             (f"c{i}", 10) for i in range(5)
         ]
 
     def test_tie_order_is_deterministic_across_repeats(self):
-        runs = [self._run_tied(fast_forward=True) for _ in range(5)]
+        runs = [self._run_tied(skip_idle=True) for _ in range(5)]
         assert all(run == runs[0] for run in runs)
-        # ...and identical to the flag-scan (no fast-forward) loop.
-        assert runs[0] == self._run_tied(fast_forward=False)
+        # ...and identical to the literal cycle-by-cycle loop.
+        assert runs[0] == self._run_tied(skip_idle=False)
+
+
+class TestIdleFastForward:
+    """With nothing awake the kernel jumps to the next timed wake.
+
+    The stop condition is checked once per loop iteration, so counting
+    ``quiescent()`` calls counts iterations: a skipped gap costs one.
+    """
+
+    class _Alarm(SimComponent):
+        name = "alarm"
+
+        def __init__(self):
+            self.rang = 0
+            self.checks = 0
+
+        def tick(self, cycle):
+            self.rang = cycle
+
+        def quiescent(self):
+            self.checks += 1
+            return self.rang > 0
+
+    def _run(self, profiler=None, hook=False):
+        kernel = SimKernel()
+        alarm = self._Alarm()
+        kernel.register(alarm).wake_at(10_000)
+        kernel.attach_profiler(profiler)
+        if hook:
+            kernel.add_cycle_hook(lambda cycle: None)
+        result = kernel.run(max_cycles=20_000)
+        assert (result.cycles, alarm.rang) == (10_000, 10_000)
+        return alarm.checks
+
+    def test_idle_gap_is_skipped(self):
+        assert self._run() <= 3
+
+    def test_idle_gap_is_skipped_under_a_profiler(self):
+        from repro.obs.profiler import SimProfiler
+
+        profiler = SimProfiler()
+        assert self._run(profiler) <= 3
+        row = profiler.kernel_components[0]
+        assert (profiler.cycles, row.ticks, row.timed_wakes) == (10_000, 1, 1)
+
+    def test_hooks_and_sampling_see_every_cycle(self):
+        from repro.obs.profiler import SimProfiler
+
+        assert self._run(hook=True) == 10_001
+        profiler = SimProfiler(sample_interval=1_000)
+        assert self._run(profiler) == 10_001
+        assert [cycle for cycle, _ in profiler.samples] == [
+            *range(1_000, 10_001, 1_000),
+            10_000,
+        ]
 
 
 class TestHooks:
