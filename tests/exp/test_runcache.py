@@ -47,6 +47,16 @@ class TestMemoryLayer:
         cache.ensure(other)
         assert cache.execution_log == [FAST_KEY, other]
 
+    def test_log_keeps_a_re_execution(self):
+        """The log is append-only, so a key executed twice shows twice —
+        the at-most-once tests depend on seeing repeats."""
+        cache = RunCache()
+        cache.ensure(FAST_KEY)
+        cache._memory.clear()  # force a second full miss
+        cache.ensure(FAST_KEY)
+        assert cache.execution_log == [FAST_KEY, FAST_KEY]
+        assert list(cache.executed_since(1)) == [FAST_KEY]
+
 
 class TestDiskLayer:
     def test_second_cache_reads_the_first_ones_run(self, tmp_path):
