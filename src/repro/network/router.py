@@ -191,6 +191,3 @@ class Router:
             raise NetworkError(f"router {self.node}: buffer {source} is empty")
         self.occupancy -= 1
         return buffer.popleft()
-
-    def is_idle(self) -> bool:
-        return self.occupancy == 0

@@ -506,7 +506,7 @@ class LineageTracker(Probe):
 
     # -- TAM hooks (turn timeline) ---------------------------------------
 
-    def tam_post(self, message: Any, turn: Any = None) -> None:
+    def tam_post(self, message: Any, kind: Any, node: int, turn: int) -> None:
         """A TAM runtime posted an inter-frame message."""
         self._tam_seq += 1
         record = self._new_record(
@@ -514,8 +514,8 @@ class LineageTracker(Probe):
             self._tam_seq,
             "turns",
             origin="tam",
-            dest=getattr(message, "node", None),
-            mtype=getattr(getattr(message, "kind", None), "name", None),
+            dest=node,
+            mtype=kind.name,
         )
         record.state = "queued"
         if self._tam_stack:
@@ -524,9 +524,9 @@ class LineageTracker(Probe):
             parent.children.append(record)
 
     def tam_begin_handle(
-        self, message: Any, node: Any = None, turn: Any = None
+        self, message: Any, kind: Any, node: int, turn: int
     ) -> Optional[LineageRecord]:
-        """A wrapped leaf handler starts handling ``message``."""
+        """A TAM node starts handling ``message``."""
         self._tam_seq += 1
         record = self.live.pop(id(message), None)
         if record is None:
@@ -549,9 +549,6 @@ class LineageTracker(Probe):
         record.state = "done"
 
     # -- summary ----------------------------------------------------------
-
-    def complete_records(self) -> List[LineageRecord]:
-        return [r for r in self.records if r.state == "done"]
 
     def clear(self) -> None:
         self.records.clear()

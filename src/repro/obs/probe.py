@@ -8,7 +8,10 @@ names every transition as a no-op hook; the
 :class:`~repro.obs.lineage.LineageTracker` override the hooks they
 record, and :func:`combine` hands a layer both at once.  Fabric-side
 hooks take the fabric cycle ``ts``; TAM hooks take ``turn``, the
-machine's monotonic post/handle sequence.
+machine's monotonic post/handle sequence, and the message's ``kind``
+(a :class:`~repro.tam.messages.MsgKind`) and ``node`` as arguments:
+generated-code messages are plain tuples, so TAM hooks read no
+attribute of ``message`` (observers may keep it as an identity).
 """
 
 from __future__ import annotations
@@ -80,14 +83,15 @@ class Probe:
 
     # -- TAM runtime (turn timeline) ---------------------------------------
 
-    def tam_post(self, message: Any, turn: int) -> None:
-        """The runtime posted an inter-frame message."""
+    def tam_post(self, message: Any, kind: Any, node: int, turn: int) -> None:
+        """The runtime posted an inter-frame message of ``kind`` to ``node``."""
 
-    def tam_begin_handle(self, message: Any, node: int, turn: int) -> Any:
-        """A leaf handler starts; the result goes to :meth:`tam_end_handle`."""
+    def tam_begin_handle(self, message: Any, kind: Any, node: int, turn: int) -> Any:
+        """``node`` starts handling ``message``; the result goes to
+        :meth:`tam_end_handle`."""
 
     def tam_end_handle(self, token: Any) -> None:
-        """The leaf handler returned (or raised)."""
+        """The handle returned (or raised)."""
 
 
 #: Every hook name, in definition order.
@@ -112,8 +116,8 @@ class FanOut(Probe):
             if name not in vars(FanOut) and hooks:
                 setattr(self, name, hooks[0] if len(hooks) == 1 else _forward(hooks))
 
-    def tam_begin_handle(self, message: Any, node: int, turn: int) -> List[Any]:
-        return [probe.tam_begin_handle(message, node, turn) for probe in self.probes]
+    def tam_begin_handle(self, message: Any, kind: Any, node: int, turn: int) -> List[Any]:
+        return [probe.tam_begin_handle(message, kind, node, turn) for probe in self.probes]
 
     def tam_end_handle(self, token: List[Any]) -> None:
         for probe, own in zip(self.probes, token):

@@ -157,11 +157,11 @@ class Tracer(Probe):
     def on_retire(self, message: Any, ts: int, node: int) -> None:
         self.emit(ts, NEXT, node)
 
-    def tam_post(self, message: Any, turn: int) -> None:
-        self.emit(turn, TAM_POST, message.node, mkind=message.kind.name)
+    def tam_post(self, message: Any, kind: Any, node: int, turn: int) -> None:
+        self.emit(turn, TAM_POST, node, mkind=kind.name)
 
-    def tam_begin_handle(self, message: Any, node: int, turn: int) -> None:
-        self.emit(turn, TAM_HANDLE, node, mkind=message.kind.name)
+    def tam_begin_handle(self, message: Any, kind: Any, node: int, turn: int) -> None:
+        self.emit(turn, TAM_HANDLE, node, mkind=kind.name)
 
     def count(self, kind: str) -> int:
         """Exact number of ``kind`` events emitted (eviction-proof)."""

@@ -13,10 +13,10 @@ single engine they all run on now:
   observability layer.
 * :class:`~repro.sim.component.SimComponent` — the component contract a
   clocked object implements to be driven by the kernel.
-* :mod:`repro.sim.sweep` — the turn-based service policies
-  (:class:`~repro.sim.sweep.ReferenceSweep` and
-  :class:`~repro.sim.sweep.ActiveSweep`) the TAM runtime schedules on,
-  pinned turn-for-turn equivalent to each other.
+* :mod:`repro.sim.sweep` — the turn-based service policy the TAM
+  runtime schedules on (:class:`~repro.sim.sweep.ReferenceSweep`) and
+  the flag arrays (:class:`~repro.sim.sweep.ActiveSweep`) with which
+  the codegen loop realizes the same order.
 
 Drivers rebased on this package: ``api.cluster.Cluster.run``, the
 flow-control hot-spot experiment, ``network.fabric.Fabric

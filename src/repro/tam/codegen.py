@@ -39,13 +39,13 @@ Three structural choices make the generated code fast:
 Equivalence: generated code raises the reference path's exact errors at
 the same execution points (out-of-range slots, bad SEND/IFETCH/ISTORE
 references, counter underflow, missing threads, threads without STOP)
-and reproduces the reference service order exactly.  Unobserved
-machines run the fused loop in :meth:`TamMachine._run_codegen_fused`
-(the :class:`repro.sim.sweep.ActiveSweep` flag-array order, inlined);
-machines under a tracer, lineage tracker or profiler post through
-``machine._post`` captured at compile time and are driven by
-:meth:`ActiveSweep.run <repro.sim.sweep.ActiveSweep.run>` itself, so a
-codegen run is bit-identical to a reference run either way
+and reproduces the reference service order exactly.  Every machine runs
+the fused loop in :meth:`TamMachine._run_codegen_fused`, and every
+message instruction has one emitted shape: the post is inlined (inbox
+append plus the sweep wake rule).  On a machine with a probe attached,
+each inlined post is followed by one statement appending the posted
+message to the machine's observation log; nothing else differs, so a
+codegen run is bit-identical to a reference run observed or not
 (``tests/tam/test_backend_matrix``).
 """
 
@@ -295,11 +295,12 @@ class _Emitter:
 
     def __init__(self, codeblock: Codeblock, machine) -> None:
         self.codeblock = codeblock
-        self.machine = machine
-        # The exec namespace: restricted builtins plus the machine hooks
-        # every message instruction needs.  ``post`` is whatever
-        # machine._post resolves to *now* — the traced wrapper when a
-        # tracer was installed at construction.
+        # The exec namespace: restricted builtins plus the machine state
+        # every message instruction needs.  Posts are inlined: generated
+        # message instructions append to the target inbox and set the
+        # sweep flag directly, and build plain tuples instead of
+        # TamMessages for the kinds the fused loop consumes positionally
+        # (SEND, PREAD).
         self.namespace = {
             "__builtins__": {},
             "int": int,
@@ -317,7 +318,6 @@ class _Emitter:
             "PWRITE": MsgKind.PWRITE,
             "READ": MsgKind.READ,
             "WRITE": MsgKind.WRITE,
-            "post": machine._post,
             "rr": machine._round_robin,
             "tr": machine._cg_runs,
             "_oob": _oob,
@@ -325,24 +325,13 @@ class _Emitter:
             "_ck_send": _check_send_ref,
             "_ck_ifetch": _check_ifetch_ref,
             "_ck_istore": _check_istore_ref,
+            "nodes": machine.nodes,
+            "sched": machine._sched,
+            "NN": machine.n_nodes,
+            "_badnode": _bad_node,
+            "log": machine._log,
         }
-        # Unobserved machines (no probe, no profiler — the ones
-        # _run_codegen_fused drives) get the post transport
-        # inlined: generated message instructions append to the target
-        # inbox and set the sweep flag directly, skipping the closure
-        # call, and build plain tuples instead of TamMessages for the
-        # kinds the fused loop consumes positionally (SEND, PREAD).
-        # Observed machines keep the ``post`` call so the probe's
-        # wrappers see every message and _on_pread's attribute access
-        # keeps working.
-        self.inline_post = machine.probe is None and machine.profiler is None
-        if self.inline_post:
-            self.namespace.update({
-                "nodes": machine.nodes,
-                "sched": machine._sched,
-                "NN": machine.n_nodes,
-                "_badnode": _bad_node,
-            })
+        self.logged = machine._log is not None
         self.frame_size = codeblock.frame_size
         self.counter_order = tuple(codeblock.counters)
         # Per-thread slot typing: slot -> "int" | "float" | None, valid
@@ -352,8 +341,8 @@ class _Emitter:
         # coerced_operand drop ``int(...)``/``float(...)`` around slots
         # whose current value provably has the target type.
         self.slot_types: Dict[int, Optional[str]] = {}
-        # Per-thread descriptor cache (inline mode): desc slot ->
-        # (ref local, node local) already emitted for this thread body.
+        # Per-thread descriptor cache: desc slot -> (ref local, node
+        # local) already emitted for this thread body.
         # Straight-line threads fetch from the same I-structure slot
         # many times (matmul's dot-product threads issue dozens of
         # IFETCHes against two arrays); once the first access verified
@@ -386,9 +375,6 @@ class _Emitter:
         self._n_constants += 1
         self.namespace[name] = value
         return name
-
-    def in_range(self, slot) -> bool:
-        return not isinstance(slot, Imm) and 0 <= slot < self.frame_size
 
     def slot_expr(self, slot: int) -> str:
         return f"f[{SLOT_BASE + slot}]"
@@ -468,10 +454,10 @@ class _Emitter:
         """Statements that post ``message`` to node ``node_expr``.
 
         ``message`` is a source template with ``{n}`` standing for the
-        target-node expression; ``node_expr`` is evaluated exactly once
-        in both modes.  Observed machines emit one ``post(...)`` call;
-        unobserved ones inline the transport — inbox append plus the
-        sweep wake rule over the flag arrays.  ``checked=False`` skips
+        target-node expression; ``node_expr`` is evaluated exactly once.
+        The transport is inlined — inbox append plus the sweep wake rule
+        over the flag arrays — and a machine with a probe adds one
+        statement logging the appended message.  ``checked=False`` skips
         the bounds test for targets the round-robin allocator produced;
         ``node_var`` names a local already holding a bounds-checked
         node id (the descriptor cache), skipping both the assignment
@@ -484,8 +470,6 @@ class _Emitter:
         swaps the flag arrays between turns, so the hoisted values
         stay live for every post the thread makes.
         """
-        if not self.inline_post:
-            return [f"post({message.format(n=node_expr)})"]
         lines = []
         if not self.uses_sched_locals:
             self.uses_sched_locals = True
@@ -501,8 +485,10 @@ class _Emitter:
             lines.append(f"_n = {node_expr}")
             if checked:
                 lines += ["if _n < 0 or _n >= NN:", "    _badnode(_n)"]
+        lines.append(f"nodes[{n}].inbox.append({message.format(n=n)})")
+        if self.logged:
+            lines.append(f"log.append(nodes[{n}].inbox[-1])")
         lines += [
-            f"nodes[{n}].inbox.append({message.format(n=n)})",
             f"if {n} > _sp:",
             f"    _ic[{n}] = True",
             "else:",
@@ -511,7 +497,7 @@ class _Emitter:
         return lines
 
     def desc_lines(self, slot: int, check_fn: str) -> Tuple[str, str, List[str]]:
-        """A checked descriptor/node local pair for ``slot`` (inline mode).
+        """A checked descriptor/node local pair for ``slot``.
 
         Returns ``(ref_var, node_var, lines)``; ``lines`` is empty when
         an earlier IFETCH/ISTORE in this thread body already verified
@@ -667,14 +653,12 @@ def _emit_instr(e: _Emitter, instr) -> List[str]:
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
         values = "".join(f"{e.slot_expr(s)}, " for s in instr.values)
-        # Inlined posts build a plain tuple: the fused loop consumes
-        # SEND/REPLY positionally, and skipping the NamedTuple
-        # constructor is measurable at this call frequency.
-        ctor = "(" if e.inline_post else "TamMessage(SEND, "
-        head = "SEND, " if e.inline_post else ""
+        # A plain tuple: the fused loop consumes SEND/REPLY
+        # positionally, and skipping the NamedTuple constructor is
+        # measurable at this call frequency.
         return lines + e.post_lines(
             "_r.node",
-            f"{ctor}{head}{{n}}, {instr.inlet}, _r.frame_id, ({values}))",
+            f"(SEND, {{n}}, {instr.inlet}, _r.frame_id, ({values}))",
         )
     if kind is IallocInstr:
         bad = e.first_oob([instr.length])
@@ -690,74 +674,43 @@ def _emit_instr(e: _Emitter, instr) -> List[str]:
         bad = e.first_oob([instr.desc_slot])
         if bad is not None:
             return [f"_oob(f, {bad})"]
-        if e.inline_post:
-            dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_ifetch")
-            bad = e.first_oob([instr.index])
-            if bad is not None:
-                return lines + [f"_oob(f, {bad})"]
-            if lines:
-                lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
-            # The inline PREAD carries the bound single-value reply
-            # inlet, the frame list itself, and the owner node id
-            # (``f[3]``): the fused loop replies without any frame or
-            # inlet lookup and defers readers without packing a
-            # DeferredReader.  Compact layout: [2] inlet fn, [3] frame,
-            # [4] owner node, [5] descriptor, [6] index.
-            # coerced_operand folds the index coercion away for
-            # immediates and provably-int slots (loop counters), the
-            # two common cases.
-            return lines + e.post_lines(
-                nvar,
-                f"(PREAD, {{n}}, {e.inlet_fn(instr.reply_inlet)}, f, "
-                f"f[3], {dvar}.descriptor, "
-                f"{e.coerced_operand(instr.index, 'int')})",
-                node_var=nvar,
-            )
-        lines = [
-            f"_d = {e.slot_expr(instr.desc_slot)}",
-            "if _d.__class__ is not IStructRef:",
-            f"    _ck_ifetch(_d, {instr.desc_slot})",
-        ]
+        dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_ifetch")
         bad = e.first_oob([instr.index])
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
+        if lines:
+            lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
+        # The PREAD carries the bound single-value reply inlet, the
+        # frame list itself, and the owner node id (``f[3]``): the
+        # fused loop replies without any frame or inlet lookup and
+        # defers readers without packing a DeferredReader.  Compact
+        # layout: [2] inlet fn, [3] frame, [4] owner node,
+        # [5] descriptor, [6] index.  coerced_operand folds the index
+        # coercion away for immediates and provably-int slots (loop
+        # counters), the two common cases.
         return lines + e.post_lines(
-            "_d.node",
-            "TamMessage(PREAD, {n}, 0, 0, (), '', "
-            f"(f[1], {instr.reply_inlet}), _d.descriptor, "
-            f"int({e.operand(instr.index)}))",
+            nvar,
+            f"(PREAD, {{n}}, {e.inlet_fn(instr.reply_inlet)}, f, "
+            f"f[3], {dvar}.descriptor, "
+            f"{e.coerced_operand(instr.index, 'int')})",
+            node_var=nvar,
         )
     if kind is IstoreInstr:
         bad = e.first_oob([instr.desc_slot])
         if bad is not None:
             return [f"_oob(f, {bad})"]
-        if e.inline_post:
-            dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_istore")
-            bad = e.first_oob([instr.index, instr.value])
-            if bad is not None:
-                return lines + [f"_oob(f, {bad})"]
-            if lines:
-                lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
-            return lines + e.post_lines(
-                nvar,
-                "TamMessage(PWRITE, {n}, 0, 0, "
-                f"({e.slot_expr(instr.value)},), '', None, {dvar}.descriptor, "
-                f"{e.coerced_operand(instr.index, 'int')})",
-                node_var=nvar,
-            )
-        lines = [
-            f"_d = {e.slot_expr(instr.desc_slot)}",
-            "if _d.__class__ is not IStructRef:",
-            f"    _ck_istore(_d, {instr.desc_slot})",
-        ]
+        dvar, nvar, lines = e.desc_lines(instr.desc_slot, "_ck_istore")
         bad = e.first_oob([instr.index, instr.value])
         if bad is not None:
             return lines + [f"_oob(f, {bad})"]
+        if lines:
+            lines += e.desc_node_lines(instr.desc_slot, dvar, nvar)
         return lines + e.post_lines(
-            "_d.node",
+            nvar,
             "TamMessage(PWRITE, {n}, 0, 0, "
-            f"({e.slot_expr(instr.value)},), '', None, _d.descriptor, "
-            f"int({e.operand(instr.index)}))",
+            f"({e.slot_expr(instr.value)},), '', None, {dvar}.descriptor, "
+            f"{e.coerced_operand(instr.index, 'int')})",
+            node_var=nvar,
         )
     if kind is ReadInstr:
         bad = e.first_oob([instr.node_slot, instr.address])
@@ -864,15 +817,13 @@ def _with_single_value_variant(
 ) -> List[str]:
     """Append the one-value delivery variant ``i<number>s(stack, f, v)``.
 
-    Machine-built replies (PREAD/IFETCH responses on the fused path)
+    Machine-built replies (PREAD/IFETCH responses in the fused loop)
     always carry exactly one value; a variant that takes it bare skips
     the tuple packing on the sending side and the unpack here.  The
     body mirrors the general inlet with ``values`` replaced by one
     unconditional store (reference semantics bank ``zip(dest_slots,
     values)``, so one value lands in the first destination slot).
     """
-    if not e.inline_post:
-        return lines
     variant = [f"def i{number}s(stack, f, v):"]
     body_start = len(variant)
     dest = spec.dest_slots
@@ -898,7 +849,7 @@ def _with_single_value_variant(
 
 
 # Source-text -> code-object cache.  The emitted source is a pure
-# function of the codeblock and the emission mode (machine identity only
+# function of the codeblock and whether posts are logged (machine identity only
 # enters through namespace *bindings*), so re-loading the same program
 # on a fresh machine — every benchmark repeat, every experiment run —
 # skips CPython's parser, which costs more than executing the compiled
@@ -922,7 +873,8 @@ def compile_codegen(codeblock: Codeblock, machine) -> CodegenBlock:
     """Compile a validated codeblock into generated functions.
 
     Compilation is per *machine*: the generated source closes over the
-    machine's post/round-robin hooks and its thread-run-count list, and
+    machine's inboxes, sweep flags, observation log, round-robin
+    allocator and thread-run-count list, and
     registers each thread's static instruction and send-word mixes with
     the machine for end-of-run stats folding.
     """

@@ -15,25 +15,29 @@ outcome ratios under "LIFO scheduling of dataflow tokens"); nodes are
 serviced round-robin, one message or one thread per turn, so runs are
 reproducible bit for bit.
 
-Two execution backends implement those semantics:
+Two execution backends implement those semantics, each with one loop:
 
 * the **codegen** backend (default): each whole thread is compiled to one
   generated Python function over flat-list frames
-  (:mod:`repro.tam.codegen`) and nodes are driven by the flag arrays of
-  :class:`repro.sim.sweep.ActiveSweep` — inlined into one fused loop for
-  unobserved runs, through :meth:`ActiveSweep.run
-  <repro.sim.sweep.ActiveSweep.run>` when a tracer, lineage tracker or
-  profiler is attached;
+  (:mod:`repro.tam.codegen`) and nodes are driven by one fused loop over
+  the flag arrays of :class:`repro.sim.sweep.ActiveSweep`, observed or
+  not;
 * the **reference** backend (``TamMachine(n, backend="reference")``):
   the original per-instruction ``isinstance`` interpreter driven by
   :class:`repro.sim.sweep.ReferenceSweep` (scan every node each sweep),
   kept as the executable specification.
 
-The sweep policies are contract-equivalent (same service order, same
-exact ``max_turns`` bound — ``tests/sim/test_sweep.py``) and both
-backends produce field-for-field identical
-:class:`~repro.tam.stats.TamStats` and turn-for-turn identical trace
-streams (``tests/tam/test_golden_equivalence.py``,
+Observation never changes which loop runs.  With a probe attached, every
+post and the begin and end of every message turn are appended to one
+per-machine log, which :meth:`TamMachine._replay` feeds to the probe's
+TAM hooks in order at each sweep boundary (each turn on the reference
+loop) and when the run ends or raises.  A profiler is charged per turn by
+the loop itself.
+
+Both backends produce field-for-field identical
+:class:`~repro.tam.stats.TamStats`, the same exact ``max_turns`` bound
+and turn-for-turn identical trace streams
+(``tests/tam/test_golden_equivalence.py``,
 ``tests/tam/test_backend_matrix.py``, ``tests/sim/test_determinism.py``).
 """
 
@@ -114,8 +118,14 @@ OP_FUNCS: Dict[Op, Callable] = {
 # Message-kind sentinel for machine-built replies on the fused codegen
 # path: the tuple carries the bound inlet function and the flat frame
 # itself ([2] and [3]), so delivery is one call with no frame or inlet
-# lookup.  Only _run_codegen_fused creates and consumes these.
+# lookup.  Only _run_codegen_fused creates and consumes these; the probe
+# sees them as REPLY.
 _FAST_REPLY = object()
+
+# Observation-log markers around a message turn: _BEGIN is followed by
+# the handled message, _END closes the handle.
+_BEGIN = object()
+_END = object()
 
 
 class _NodeState:
@@ -149,17 +159,15 @@ class TamMachine:
     ``tam_post`` event and every processed one a ``tam_handle`` event,
     stamped with a monotonic turn sequence; ``lineage``
     (:mod:`repro.obs.lineage`) records them as causal spans.  Both share
-    one probe, installed by swapping the posting/handling entry points
-    for observed wrappers at construction time — before any ``load()``
-    generates code that captures them — so a machine built without
-    either executes byte-identical code on the hot path.
+    one probe, fed from the machine's observation log
+    (:meth:`_replay`).  The log exists from construction, before any
+    ``load()`` generates code that appends to it; a machine built
+    without either has no log and generates no log statements.
 
     ``profiler`` opts the machine into per-node turn attribution
     (:mod:`repro.obs.profiler`): every productive turn is timed and
     charged to a ``tam.node<N>`` row, and the run's batched statistics
     are folded into the profiler's counter registry (:func:`feed_profiler`).
-    With ``None`` the run loops bind the original service callbacks, so
-    an unprofiled run pays nothing.
     """
 
     BACKENDS = ("reference", "codegen")
@@ -194,10 +202,6 @@ class TamMachine:
         # `.active` only while a run is in progress.
         self._sched = ActiveSweep(n_nodes)
         self._reference_sched = ReferenceSweep()
-        if self._is_codegen:
-            self._deliver = self._deliver_message_codegen
-        else:
-            self._deliver = self._deliver_message
         # Codegen run accounting: one run counter per generated thread
         # (bumped by the generated code), one (instruction mix, send-word
         # mix) record per thread, folded into stats after each run.
@@ -206,58 +210,50 @@ class TamMachine:
         self.tracer = tracer
         self.probe = combine(tracer, lineage)
         self._trace_seq = 0
-        if self.probe is not None:
-            self._install_probe()
-        # Like the probe, the profiler is identity-guarded: with None
-        # the run loops use the original service callbacks unchanged.
+        # The observation log (see _replay); None when nothing observes.
+        self._log: Optional[list] = [] if self.probe is not None else None
         self.profiler = profiler
 
-    def _install_probe(self) -> None:
-        """Swap the message entry points for observed wrappers.
+    def _replay(self) -> None:
+        """Feed the observation log to the probe in order, then empty it.
 
-        Installed as *instance* attributes, which is what makes
-        observation free when absent: generated code captures
-        ``machine._post`` at ``load()`` time and the run loops bind
-        ``self._deliver`` / ``self._on_pread`` at entry, so with no
-        probe they resolve to the original methods and no extra branch
-        ever executes.  Only the seven leaf handlers are wrapped (not
-        ``_process_message``, which merely dispatches to them), so each
-        processed message is reported exactly once on both execution
-        paths.  A ``_post`` issued inside a handler (e.g. ``_reply``)
-        falls between its begin/end pair, which is how lineage links a
-        request to its response.
+        The log holds posted messages and, around each message turn, a
+        ``_BEGIN`` marker followed by the handled message and an
+        ``_END`` marker, so a post issued inside a handler falls between
+        its begin and end, which is how lineage links a request to its
+        response.  Posts and handle begins take consecutive turn
+        numbers; the message's kind and node are passed explicitly
+        (codegen messages are plain tuples, kind at ``[0]`` and node at
+        ``[1]``).  A handle left open by a handler that raised is closed
+        here, so a failed run reports the same stream on both backends.
         """
         probe = self.probe
-        plain_post = self._post
-
-        def observed_post(message: TamMessage) -> None:
-            self._trace_seq += 1
-            probe.tam_post(message, self._trace_seq)
-            plain_post(message)
-
-        self._post = observed_post
-
-        def wrap_handler(handler):
-            def observed(state: _NodeState, message: TamMessage) -> None:
-                self._trace_seq += 1
-                token = probe.tam_begin_handle(message, state.node_id, self._trace_seq)
-                try:
-                    handler(state, message)
-                finally:
-                    probe.tam_end_handle(token)
-
-            return observed
-
-        for name in (
-            "_deliver",
-            "_on_pread",
-            "_on_pwrite",
-            "_on_falloc",
-            "_on_ialloc",
-            "_on_read",
-            "_on_write",
-        ):
-            setattr(self, name, wrap_handler(getattr(self, name)))
+        log = self._log
+        seq = self._trace_seq
+        token = None
+        handling = False
+        entries = iter(log)
+        for entry in entries:
+            if entry is _END:
+                probe.tam_end_handle(token)
+                handling = False
+                continue
+            begin = entry is _BEGIN
+            if begin:
+                entry = next(entries)
+            kind = entry[0]
+            if kind is _FAST_REPLY:
+                kind = MsgKind.REPLY
+            seq += 1
+            if begin:
+                token = probe.tam_begin_handle(entry, kind, entry[1], seq)
+                handling = True
+            else:
+                probe.tam_post(entry, kind, entry[1], seq)
+        self._trace_seq = seq
+        log.clear()
+        if handling:
+            probe.tam_end_handle(token)
 
     # ------------------------------------------------------------------
     # Program loading and boot.
@@ -368,7 +364,7 @@ class TamMachine:
         turn.  Sweeps over idle nodes are not charged against it.
         """
         if self._is_codegen:
-            turns = self._run_codegen(max_turns)
+            turns = self._run_codegen_fused(max_turns)
         else:
             turns = self._run_reference(max_turns)
         self.turns_executed += turns
@@ -377,9 +373,6 @@ class TamMachine:
         self._check_quiescence()
         return self.stats
 
-    def _turn_stall(self, max_turns: int) -> Callable[[], TamError]:
-        return lambda: TamError(f"TAM run exceeded {max_turns} turns")
-
     def _run_reference(self, max_turns: int) -> int:
         """The scan-all-nodes policy (executable spec).
 
@@ -387,86 +380,85 @@ class TamMachine:
         continuation vector has priority over inlets); this also
         guarantees a counter re-armed by its own thread is reset before
         the next message decrements it — the priority lives in
-        ``_do_one_unit``, which both policies' callbacks share.
+        ``_do_one_unit``.
         """
         do_one = self._do_one_unit
         if self.profiler is not None:
             do_one = self._profiled(do_one)
-        return self._reference_sched.run(
-            self.nodes,
-            has_work=lambda state: state.stack or state.inbox,
-            do_one=do_one,
-            max_turns=max_turns,
-            stall=self._turn_stall(max_turns),
-        )
+        try:
+            return self._reference_sched.run(
+                self.nodes,
+                has_work=lambda state: state.stack or state.inbox,
+                do_one=do_one,
+                max_turns=max_turns,
+                stall=lambda: TamError(f"TAM run exceeded {max_turns} turns"),
+            )
+        finally:
+            if self._log:
+                self._replay()
 
     def _profiled(self, unit: Callable) -> Callable:
-        """Wrap a per-node turn callback with turn attribution.
+        """Wrap the reference ``do_one`` with per-node turn attribution.
 
-        Both backends call their callback (the reference ``do_one``,
-        codegen's observed ``service``) exactly once per productive
-        turn, so the wrapper charges every call to the node's
-        ``tam.node<N>`` row and passes the callback's result through.
+        It is called exactly once per productive turn, so the wrapper
+        charges every call that returns to the node's ``tam.node<N>``
+        row, as the fused loop charges each turn it completes.
         """
         track = self.profiler.track
         profiles = [track(f"tam.node{n}") for n in range(self.n_nodes)]
 
-        def profiled(state: _NodeState):
+        def profiled(state: _NodeState) -> None:
             start = perf_counter()
-            result = unit(state)
+            unit(state)
             elapsed = perf_counter() - start
             profile = profiles[state.node_id]
             profile.ticks += 1
             profile.seconds += elapsed
-            return result
 
         return profiled
 
     def _do_one_unit(self, state: _NodeState) -> None:
-        """One productive turn on ``state`` via the reference dispatch."""
+        """One productive turn on ``state`` via the reference dispatch.
+
+        Under a probe a message turn is bracketed in the log as the
+        fused loop brackets it, and the log is replayed after the turn.
+        """
+        log = self._log
         if state.stack:
             frame, label = state.stack.pop()
             self._run_thread(state, frame, label)
-        else:
+        elif log is None:
             self._process_message(state, state.inbox.popleft())
+        else:
+            message = state.inbox.popleft()
+            log += (_BEGIN, message)
+            self._process_message(state, message)
+            log.append(_END)
+        if log:
+            self._replay()
 
-    def _run_codegen(self, max_turns: int) -> int:
-        """The generated-code policy: one call per thread, flat frames.
+    def _run_codegen_fused(self, max_turns: int) -> int:
+        """The codegen loop: scheduling, delivery and presence bits.
 
         Threads were compiled to single functions at ``load()`` time
         (:mod:`repro.tam.codegen`); a continuation is two stack elements
         (frame list, thread function), so a thread turn is two pops and
-        one call.  Unobserved runs take :meth:`_run_codegen_fused` — the
-        scheduling, delivery, and presence-bit logic fused into one
-        loop; runs with a tracer, lineage tracker or profiler keep the
-        callback shape (:meth:`_run_codegen_observed`) so the observed
-        event stream and attribution are identical to the reference
-        backend's.
-        """
-        try:
-            if self.probe is None and self.profiler is None:
-                return self._run_codegen_fused(max_turns)
-            return self._run_codegen_observed(max_turns)
-        finally:
-            # Fold even when the run raised mid-way: the generated code
-            # has already bumped its run counters, and stats accumulate
-            # across run() calls.
-            self._fold_codegen_stats()
-
-    def _run_codegen_fused(self, max_turns: int) -> int:
-        """One loop for scheduling, delivery, and presence bits.
-
-        This inlines, in one frame: :meth:`ActiveSweep.run
-        <repro.sim.sweep.ActiveSweep.run>` — the flag-array realization
-        of the service order both sweep policies share, which observed
-        runs call directly — inlet delivery through the flat frame's
-        dispatch dict (``frame[0]``), and the PRead/PWrite protocols
-        over the I-structure internals
+        one call.  This inlines, in one frame: the service order of
+        :class:`~repro.sim.sweep.ReferenceSweep` over
+        :class:`~repro.sim.sweep.ActiveSweep`'s flag arrays, inlet
+        delivery through the flat frame's dispatch dict (``frame[0]``),
+        and the PRead/PWrite protocols over the I-structure internals
         (:class:`~repro.node.istructure.IStructureMemory`, with the
         :class:`~repro.node.istructure.DeferredReader` built only when
         the read actually defers).  Per-turn cost is what makes or
         breaks the codegen backend; every layer boundary that remains
         here shows up directly in the benchmarks.
+
+        Observation adds no second path: with a probe, message turns
+        and machine-built replies are appended to the log, which is
+        replayed at every sweep boundary and in the ``finally``; with a
+        profiler, each completed turn is charged to its node's
+        ``tam.node<N>`` row.
         """
         nodes = self.nodes
         sched = self._sched
@@ -491,6 +483,14 @@ class TamMachine:
         kind_reply = MsgKind.REPLY
         kind_pread = MsgKind.PREAD
         kind_pwrite = MsgKind.PWRITE
+        log = self._log
+        begin = _BEGIN
+        end = _END
+        profiles = None
+        if self.profiler is not None:
+            track = self.profiler.track
+            profiles = [track(f"tam.node{j}") for j in range(n)]
+        mark = perf_counter()
 
         for state in nodes:
             if state.stack or state.inbox:
@@ -526,6 +526,8 @@ class TamMachine:
                         # NamedTuple; positional access skips the
                         # attribute descriptors.
                         message = inbox.popleft()
+                        if log is not None:
+                            log += (begin, message)
                         kind = message[0]
                         if kind is fast_reply:
                             # Machine-built reply carrying the bound
@@ -563,13 +565,16 @@ class TamMachine:
                                 n_preads_full += 1
                                 # Flag stores are idempotent, no dedup.
                                 rnode = message[4]
-                                inboxes[rnode].append((
+                                reply = (
                                     fast_reply,
                                     rnode,
                                     message[2],
                                     message[3],
                                     element.value,
-                                ))
+                                )
+                                inboxes[rnode].append(reply)
+                                if log is not None:
+                                    log.append(reply)
                                 if rnode > i:
                                     in_current[rnode] = True
                                 else:
@@ -643,13 +648,16 @@ class TamMachine:
                                 mix.deferred_readers_satisfied += n_satisfied
                                 for reader in satisfied:
                                     rnode = reader[2]
-                                    inboxes[rnode].append((
+                                    reply = (
                                         fast_reply,
                                         rnode,
                                         reader[0],
                                         reader[1],
                                         value,
-                                    ))
+                                    )
+                                    inboxes[rnode].append(reply)
+                                    if log is not None:
+                                        log.append(reply)
                                     if rnode > i:
                                         in_current[rnode] = True
                                     else:
@@ -663,7 +671,15 @@ class TamMachine:
                             # sweep_pos for its wake rule.
                             sched.sweep_pos = i
                             process(nodes[i], message)
+                        if log is not None:
+                            log.append(end)
                     turns += 1
+                    if profiles is not None:
+                        now = perf_counter()
+                        profile = profiles[i]
+                        profile.ticks += 1
+                        profile.seconds += now - mark
+                        mark = now
                     if stack or inbox:
                         if turns >= max_turns:
                             raise TamError(
@@ -679,6 +695,10 @@ class TamMachine:
                         )
                     i = in_current.index(True, i + 1)
                 sched.sweep_pos = -1
+                if log:
+                    self._replay()
+                    # Observer time is not a node's turn.
+                    mark = perf_counter()
                 if in_next.index(True) == n:
                     return turns
                 # Promote: the next sweep's flags become the current
@@ -697,55 +717,12 @@ class TamMachine:
             for i in range(n):
                 in_current[i] = False
                 in_next[i] = False
-
-    def _run_codegen_observed(self, max_turns: int) -> int:
-        """The codegen backend under observation: ActiveSweep + callbacks.
-
-        Messages are handled through the machine's entry points
-        (``_deliver`` and the ``_on_*`` handlers), which
-        :meth:`_install_probe` has wrapped so every handled message emits
-        its ``tam_handle`` event / handler span; a profiler wraps the
-        service callback for per-node turn attribution.  Posts reach the
-        flag arrays through :meth:`_post`, which ``ActiveSweep.run``'s
-        ``sweep_pos`` keeps on the same wake rule as the fused loop.
-        """
-        process = self._process_message
-        deliver = self._deliver
-        on_pread = self._on_pread
-        kind_send = MsgKind.SEND
-        kind_reply = MsgKind.REPLY
-        kind_pread = MsgKind.PREAD
-
-        def service(state: _NodeState):
-            stack = state.stack
-            if stack:
-                fn = stack.pop()
-                fn(stack, stack.pop())
-            elif state.inbox:
-                message = state.inbox.popleft()
-                kind = message[0]
-                if kind is kind_send or kind is kind_reply:
-                    deliver(state, message)
-                elif kind is kind_pread:
-                    on_pread(state, message)
-                else:
-                    process(state, message)
-            else:  # pragma: no cover - flagged nodes always have work
-                return None
-            return True if (stack or state.inbox) else False
-
-        if self.profiler is not None:
-            service = self._profiled(service)
-        nodes = self.nodes
-        return self._sched.run(
-            nodes,
-            service,
-            initially_active=[
-                state.node_id for state in nodes if state.stack or state.inbox
-            ],
-            max_turns=max_turns,
-            stall=self._turn_stall(max_turns),
-        )
+            # Fold even when the run raised mid-way: the generated code
+            # has already bumped its run counters, and stats accumulate
+            # across run() calls.
+            self._fold_codegen_stats()
+            if log:
+                self._replay()
 
     def _fold_codegen_stats(self) -> None:
         """Fold per-thread run counts into the cumulative statistics.
@@ -940,12 +917,13 @@ class TamMachine:
         if node < 0 or node >= self.n_nodes:
             raise TamError(f"message addressed to unknown node {node}")
         self.nodes[node].inbox.append(message)
+        if self._log is not None:
+            self._log.append(message)
         sched = self._sched
         if sched.active:
             # Keep the activity flags in sync: a node the sweep has not
             # reached yet joins the current sweep, otherwise the next one
-            # (inlined ActiveSweep.wake; unobserved generated code
-            # inlines the same rule).
+            # (generated code inlines the same rule).
             if node > sched.sweep_pos:
                 sched.in_current[node] = True
             else:
@@ -981,7 +959,7 @@ class TamMachine:
         # checks avoid the per-message hash a dict dispatch would pay.
         kind = message.kind
         if kind is MsgKind.SEND or kind is MsgKind.REPLY:
-            self._deliver(state, message)
+            self._deliver_message(state, message)
         elif kind is MsgKind.PREAD:
             self._on_pread(state, message)
         elif kind is MsgKind.PWRITE:
@@ -1001,20 +979,6 @@ class TamMachine:
         self._deliver_to_inlet(
             state, message.frame_id, message.inlet, message.values
         )
-
-    def _deliver_message_codegen(
-        self, state: _NodeState, message: TamMessage
-    ) -> None:
-        frame = state.frames.get(message.frame_id)
-        if frame is None:
-            raise TamError(f"node {state.node_id}: no frame {message.frame_id}")
-        deliver = frame[0].get(message.inlet)
-        if deliver is None:
-            raise TamError(
-                f"codeblock {frame[2].name!r} has no inlet "
-                f"{message.inlet}"
-            )
-        deliver(state.stack, frame, message.values)
 
     def _on_falloc(self, state: _NodeState, message: TamMessage) -> None:
         frame = self._allocate_frame(state.node_id, message.codeblock)

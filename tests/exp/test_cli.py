@@ -1,12 +1,14 @@
 """End-to-end driver tests: at-most-once execution, artifacts, fan-out."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.exp import registry, runcache
+from repro.__main__ import main
+from repro.exp import registry, runcache, runner
 from repro.exp.artifacts import VOLATILE_KEYS, validate_artifact
 from repro.exp.runcache import ProgramKey, RunCache
 from repro.exp.runner import run_experiments
@@ -26,6 +28,42 @@ def _run_cli(*args, cwd):
         cwd=cwd,
         timeout=300,
     )
+
+
+def _run_in_process(monkeypatch, capsys, pid_file, *args):
+    """``python -m repro *args`` in this process, with two CPUs visible.
+
+    ``os.cpu_count`` reads 2, so ``--jobs 2`` takes the worker pool even
+    on a 1-CPU host, and every section appends the pid of the process
+    that ran it to ``pid_file`` (the workers are forked from this
+    process and inherit the recording wrapper).  Returns the captured
+    stdout and the recorded pids.
+    """
+    run_one = runner.run_one
+
+    def recording_run_one(spec, params):
+        with open(pid_file, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return run_one(spec, params)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner.os, "cpu_count", lambda: 2)
+        patch.setattr(runner, "run_one", recording_run_one)
+        patch.setattr(runcache, "_CACHE", RunCache())
+        assert main(list(args)) == 0
+    pids = Path(pid_file).read_text().split() if Path(pid_file).exists() else []
+    return capsys.readouterr().out, set(pids)
+
+
+def _assert_ran_in_workers(serial_pids, parallel_pids):
+    """Serial sections ran here; ``--jobs 2`` sections ran only in workers."""
+    assert serial_pids == {str(os.getpid())}
+    assert parallel_pids, (
+        "no worker recorded a pid: workers started with the "
+        f"{multiprocessing.get_start_method()!r} method do not inherit "
+        "the recording wrapper"
+    )
+    assert str(os.getpid()) not in parallel_pids
 
 
 class TestProgramsExecuteAtMostOnce:
@@ -120,17 +158,20 @@ class TestCliSmoke:
 
 
 class TestParallelEquivalence:
-    def test_jobs_output_matches_serial(self, tmp_path):
+    def test_jobs_output_matches_serial(self, tmp_path, monkeypatch, capsys):
         serial_dir = tmp_path / "serial"
         parallel_dir = tmp_path / "parallel"
         sections = ("--only", "table1", "throughput", "survey")
 
-        serial = _run_cli(*sections, "--json-dir", str(serial_dir), cwd=tmp_path)
-        parallel = _run_cli(
-            *sections, "--jobs", "2", "--json-dir", str(parallel_dir), cwd=tmp_path
+        serial, serial_pids = _run_in_process(
+            monkeypatch, capsys, tmp_path / "serial.pids",
+            *sections, "--json-dir", str(serial_dir),
         )
-        assert serial.returncode == 0, serial.stderr
-        assert parallel.returncode == 0, parallel.stderr
+        parallel, parallel_pids = _run_in_process(
+            monkeypatch, capsys, tmp_path / "parallel.pids",
+            *sections, "--jobs", "2", "--json-dir", str(parallel_dir),
+        )
+        _assert_ran_in_workers(serial_pids, parallel_pids)
 
         def strip_artifact_lines(text):
             return [
@@ -139,9 +180,7 @@ class TestParallelEquivalence:
                 if not line.startswith("[artifact]")
             ]
 
-        assert strip_artifact_lines(serial.stdout) == strip_artifact_lines(
-            parallel.stdout
-        )
+        assert strip_artifact_lines(serial) == strip_artifact_lines(parallel)
 
         for path in sorted(serial_dir.glob("*.json")):
             a = json.loads(path.read_text())
@@ -166,7 +205,7 @@ class TestProfileReport:
             if line.startswith(("section.", "program."))
         }
 
-    def test_report_rows_match_across_jobs(self, tmp_path):
+    def test_report_rows_match_across_jobs(self, tmp_path, monkeypatch, capsys):
         """Every selected section and every executed program gets a row,
         whether the work ran in this process or in ``--jobs`` workers."""
         registry.load_all()
@@ -178,12 +217,13 @@ class TestProfileReport:
                 for key in spec.required_programs(spec.params(EvalOptions()))
             }
         assert any(row.startswith("program.") for row in expected)
-        reports = []
+        reports, pids = [], []
         for jobs in ("1", "2"):
-            result = _run_cli(
+            stdout, ran_in = _run_in_process(
+                monkeypatch, capsys, tmp_path / f"jobs{jobs}.pids",
                 "--profile", "--jobs", jobs, "--only", *self.SECTIONS, "--no-json",
-                cwd=tmp_path,
             )
-            assert result.returncode == 0, result.stderr
-            reports.append(self._report_rows(result.stdout))
+            reports.append(self._report_rows(stdout))
+            pids.append(ran_in)
+        _assert_ran_in_workers(*pids)
         assert reports[0] == reports[1] == expected

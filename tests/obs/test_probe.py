@@ -12,6 +12,7 @@ from repro.obs.breakdown import lineage_report
 from repro.obs.lineage import LineageTracker
 from repro.obs.probe import HOOKS, FanOut, Probe, combine
 from repro.obs.tracer import Tracer
+from repro.tam.messages import MsgKind
 
 
 class TestCombine:
@@ -55,15 +56,11 @@ class TestCombine:
         assert first.calls == second.calls == [(name, (name,)) for name in forwarded]
 
     def test_handle_tokens_return_to_their_probe(self):
-        class Posted:
-            node = 1
-            kind = None
-
-        message = Posted()
+        message = (MsgKind.SEND, 1)
         lineage = LineageTracker()
-        lineage.tam_post(message)
+        lineage.tam_post(message, MsgKind.SEND, 1, 1)
         fan = FanOut(Probe(), lineage)
-        token = fan.tam_begin_handle(message, 1, 2)
+        token = fan.tam_begin_handle(message, MsgKind.SEND, 1, 2)
         assert token == [None, lineage.records[0]]
         fan.tam_end_handle(token)
         assert lineage.records[0].state == "done"

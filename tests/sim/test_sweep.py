@@ -1,14 +1,22 @@
-"""The two turn policies: identical service order, exact turn bounds.
+"""The turn policy: service order and exact turn bounds.
 
 The synthetic states here model the TAM shape (a work stack that can
 spawn work on other states) without any TAM machinery, so the policy
-contract is pinned independently of the runtime that uses it.
+contract is pinned independently of the runtime that uses it.  The TAM
+codegen loop realizes the same order over
+:class:`~repro.sim.sweep.ActiveSweep`'s flag arrays; it is pinned
+against the reference backend turn for turn by
+``tests/tam/test_backend_matrix.py`` and ``tests/sim/test_determinism.py``,
+and its exact bound by ``TestTurnBoundExactness`` and the ``spin`` test in
+``tests/tam/test_runtime_errors.py``.
 """
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import ActiveSweep, ReferenceSweep
+from repro.sim import ReferenceSweep
+
+POLICIES = [pytest.param(ReferenceSweep, id="reference")]
 
 
 class State:
@@ -21,12 +29,11 @@ class State:
 
 
 class Harness:
-    """Drives N states under either policy, recording service order."""
+    """Drives N states under a policy, recording service order."""
 
     def __init__(self, n):
         self.states = [State(i) for i in range(n)]
         self.order = []
-        self.sweep = ActiveSweep(n)
 
     def spawn(self, index, item):
         self.states[index].work.append(item)
@@ -37,31 +44,14 @@ class Harness:
         state.serviced.append(spawns)
         for target, item in spawns:
             self.states[target].work.append(item)
-            if self.sweep.active:
-                self.sweep.wake(target)
 
-    def run_reference(self, max_turns=1000, stall=None):
-        return ReferenceSweep().run(
+    def run(self, policy, max_turns=1000):
+        return policy().run(
             self.states,
             has_work=lambda state: state.work,
             do_one=self._do_one,
             max_turns=max_turns,
-            stall=stall or (lambda: SimulationError("turn bound exceeded")),
-        )
-
-    def run_active(self, max_turns=1000, stall=None):
-        def service(state):
-            if not state.work:
-                return None
-            self._do_one(state)
-            return bool(state.work)
-
-        return self.sweep.run(
-            self.states,
-            service,
-            initially_active=[s.index for s in self.states if s.work],
-            max_turns=max_turns,
-            stall=stall or (lambda: SimulationError("turn bound exceeded")),
+            stall=lambda: SimulationError("turn bound exceeded"),
         )
 
 
@@ -73,55 +63,43 @@ def cascade(harness):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("policy", ["reference", "active"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_service_order(self, policy):
         harness = Harness(4)
         cascade(harness)
-        runner = getattr(harness, f"run_{policy}")
-        turns = runner()
-        # Both policies service ascending index order, sweep by sweep,
-        # with mid-sweep spawns joining the current sweep only when the
-        # sweep has not passed the target yet.
+        turns = harness.run(policy)
+        # Ascending index order, sweep by sweep, one unit per state per
+        # sweep: a spawn onto a state the sweep has not passed yet (2
+        # from state 0, 3 from state 1 in the second sweep) is served in
+        # the same sweep, one onto a passed state (0 from state 3) in
+        # the next.
+        assert harness.order == [0, 1, 2, 3, 0, 1, 3]
         assert turns == len(harness.order)
-        reference = Harness(4)
-        cascade(reference)
-        reference.run_reference()
-        assert harness.order == reference.order
-
-    def test_turn_counts_match(self):
-        a, b = Harness(5), Harness(5)
-        for h in (a, b):
-            h.spawn(0, [(4, [(2, [])]), (1, [])])
-            h.spawn(3, [])
-        assert a.run_reference() == b.run_active()
-        assert a.order == b.order
 
 
 class TestTurnBound:
     """``max_turns`` is exact: K turns within a bound of K succeed."""
 
-    @pytest.mark.parametrize("policy", ["reference", "active"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_exact_bound_succeeds(self, policy):
         probe = Harness(4)
         cascade(probe)
-        needed = probe.run_reference()
+        needed = probe.run(policy)
         harness = Harness(4)
         cascade(harness)
-        runner = getattr(harness, f"run_{policy}")
-        assert runner(max_turns=needed) == needed
+        assert harness.run(policy, max_turns=needed) == needed
 
-    @pytest.mark.parametrize("policy", ["reference", "active"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_one_below_bound_raises(self, policy):
         probe = Harness(4)
         cascade(probe)
-        needed = probe.run_reference()
+        needed = probe.run(policy)
         harness = Harness(4)
         cascade(harness)
-        runner = getattr(harness, f"run_{policy}")
         with pytest.raises(SimulationError):
-            runner(max_turns=needed - 1)
+            harness.run(policy, max_turns=needed - 1)
 
-    @pytest.mark.parametrize("policy", ["reference", "active"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_runaway_work_raises(self, policy):
         harness = Harness(2)
         harness.spawn(0, [(0, [])])
@@ -131,10 +109,7 @@ class TestTurnBound:
             # State 0 perpetually re-arms itself: never quiesces.
             original(state)
             state.work.append([(0, [])])
-            if harness.sweep.active:
-                harness.sweep.wake(0)
 
         harness._do_one = do_one
-        runner = getattr(harness, f"run_{policy}")
         with pytest.raises(SimulationError):
-            runner(max_turns=50)
+            harness.run(policy, max_turns=50)

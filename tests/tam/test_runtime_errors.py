@@ -8,8 +8,16 @@ the default (codegen) backend and the end of the module derives a
 
 import pytest
 
-from repro.errors import TamError
+from repro.errors import IStructureError, TamError
+from repro.obs.lineage import LineageTracker
+from repro.obs.profiler import SimProfiler
 from repro.obs.tracer import Tracer
+from repro.programs.matmul import (
+    DRIVER_SELF_SLOT,
+    build_block_codeblock,
+    build_driver_codeblock,
+    run_matmul,
+)
 from repro.tam.codeblock import Codeblock
 from repro.tam.frame import FrameRef
 from repro.tam.instructions import (
@@ -149,9 +157,9 @@ class TestTurnBoundExactness(OnBackend):
     Regression pin: the pre-kernel scheduler loops tested
     ``turns > max_turns`` after incrementing, silently permitting
     ``max_turns + 1`` productive turns before raising.  ``traced``
-    matters on the codegen backend: an observed run takes
-    ``ActiveSweep.run`` instead of the fused loop, which enforces the
-    bound separately.
+    pins that an observed run, which runs the same loop with an
+    observation log attached, keeps the bound exactly as an
+    unobserved one does.
     """
 
     def two_turn_machine(self, traced: bool) -> TamMachine:
@@ -176,6 +184,119 @@ class TestTurnBoundExactness(OnBackend):
         machine = self.two_turn_machine(traced)
         with pytest.raises(TamError):
             machine.run(max_turns=1)
+
+
+def observed_run(backend, build, nodes, max_turns=100_000_000, profiler=None):
+    """Run ``build(machine)`` traced and under lineage until it raises.
+
+    Returns the error, the tracer's event stream and the lineage
+    records, each in a backend-neutral form.
+    """
+    tracer = Tracer(capacity=None)
+    lineage = LineageTracker(origin="tam")
+    machine = TamMachine(
+        nodes, backend=backend, tracer=tracer, lineage=lineage, profiler=profiler
+    )
+    build(machine)
+    with pytest.raises((TamError, IStructureError)) as raised:
+        machine.run(max_turns=max_turns)
+    events = [(e.ts, e.kind, e.node, e.detail) for e in tracer]
+    return raised.value, events, [record.as_dict() for record in lineage.records]
+
+
+def double_write(machine):
+    """Node 0 stores, fetches and stores again the same element on node 1."""
+    block = Codeblock("dw", frame_size=3)
+    block.add_inlet(0, dest_slots=(2,), counter="v")
+    block.add_counter("v", 1, "done")
+    block.add_thread(
+        "entry",
+        [
+            IstoreInstr(0, Imm(0), value=1),
+            IfetchInstr(0, Imm(0), reply_inlet=0),
+            IstoreInstr(0, Imm(0), value=1),
+            StopInstr(),
+        ],
+    )
+    block.add_thread("done", [StopInstr()])
+    block.set_entry("entry")
+    machine.load(block)
+    ref = machine.boot("dw")
+    desc = machine.nodes[1].istructures.allocate(1)
+    machine.write_slot(ref, 0, IStructRef(1, desc))
+    machine.write_slot(ref, 1, 7)
+
+
+def blocked_matmul(machine):
+    """An 8x8 blocked matmul on four nodes (898 turns to completion)."""
+    nb = 8 // 4
+    machine.load(build_block_codeblock(nb, done_inlet=5))
+    machine.load(build_driver_codeblock(nb))
+    ref = machine.boot("mm_driver")
+    machine.write_slot(ref, DRIVER_SELF_SLOT, ref)
+
+
+class TestObservedErrorPath:
+    """A traced run that raises reports what the reference backend reports.
+
+    The probe is fed from the observation log at sweep boundaries and
+    in the run's ``finally``, so a raise must neither lose the events
+    logged since the last boundary nor leave the failing handle open.
+    """
+
+    def test_double_write_mid_handler(self):
+        runs = {b: observed_run(b, double_write, 2) for b in TamMachine.BACKENDS}
+        error, events, records = runs["reference"]
+        assert isinstance(error, IStructureError)
+        assert "double write" in str(error)
+        for other in runs.values():
+            assert type(other[0]) is type(error) and str(other[0]) == str(error)
+            assert other[1] == events
+            assert other[2] == records
+        # The failing PWRITE is the last handle, and lineage closed it.
+        assert events[-1][1:] == ("tam_handle", 1, {"mkind": "PWRITE"})
+        pwrites = [r for r in records if r["mtype"] == "PWRITE"]
+        assert [r["state"] for r in pwrites] == ["done", "done"]
+        # The PREAD's reply was posted inside its handle.
+        replies = [r for r in records if r["mtype"] == "REPLY"]
+        assert len(replies) == 1 and replies[0]["parents"]
+
+    def test_turn_bound_mid_run(self):
+        runs = {
+            b: observed_run(b, blocked_matmul, 4, max_turns=100)
+            for b in TamMachine.BACKENDS
+        }
+        error, events, records = runs["reference"]
+        assert str(error) == "TAM run exceeded 100 turns"
+        handles = sum(1 for event in events if event[1] == "tam_handle")
+        assert 0 < handles < 100
+        for other in runs.values():
+            assert str(other[0]) == str(error)
+            assert other[1] == events
+            assert other[2] == records
+
+    def test_profiled_failure_charges_completed_turns(self):
+        ticks = {}
+        for backend in TamMachine.BACKENDS:
+            profiler = SimProfiler()
+            observed_run(backend, double_write, 2, profiler=profiler)
+            ticks[backend] = {
+                name: row.ticks for name, row in profiler.tracked.items()
+            }
+        assert ticks["codegen"] == ticks["reference"]
+        assert sum(ticks["codegen"].values()) > 0
+
+
+@pytest.mark.parametrize("backend", TamMachine.BACKENDS)
+@pytest.mark.parametrize("traced", [True, False])
+def test_profiled_ticks_sum_to_turns(backend, traced):
+    profiler = SimProfiler()
+    result = run_matmul(
+        8, 4, backend=backend, profiler=profiler, tracer=Tracer() if traced else None
+    )
+    rows = [row for name, row in profiler.tracked.items() if name.startswith("tam.node")]
+    assert len(rows) == 4
+    assert sum(row.ticks for row in rows) == result.machine.turns_executed > 0
 
 
 # Re-run every backend-dependent class above on the non-default backends.
